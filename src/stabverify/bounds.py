@@ -30,6 +30,8 @@ import numpy as np
 
 from .reconstruct import state_p
 
+MIN_TRIALS = 1000  # fewest Monte-Carlo trials behind an error bar
+
 
 def _abs_a(a) -> np.ndarray:
     a = np.abs(np.asarray(a, dtype=float))
@@ -149,10 +151,14 @@ def purity_min(a, n: int | None = None) -> float:
 # Monte-Carlo error propagation.
 
 
+def _check_trials(trials: int):
+    if trials < MIN_TRIALS:
+        raise ValueError(f"use at least {MIN_TRIALS} trials")
+
+
 def propagate_errors(bound_fn, a, sigma, trials: int = 10_000, seed: int = 0):
     """Mean and std of bound_fn over a_i' ~ N(a_i, sigma_i) clipped to [-1, 1]."""
-    if trials < 1000:
-        raise ValueError("use at least 1000 trials")
+    _check_trials(trials)
     a = np.asarray(a, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     rng = np.random.default_rng(seed)
@@ -195,6 +201,7 @@ def bound_report(
     One shared sample set keeps the derived quantities (e.g. lrg vs rg)
     mutually consistent.
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     samples = np.clip(
         rng.normal(data.a, data.sigma, size=(trials, data.n)), -1.0, 1.0

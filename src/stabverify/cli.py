@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .bounds import GeneratorData, bound_report, er_lower_from_state
+from .bounds import MIN_TRIALS, GeneratorData, bound_report, er_lower_from_state
 from .pauli import Graph, LocalFrame, NotTwoColorableError, two_coloring
 from .presets import FRAME_PRESET_GRAPHS, FRAME_PRESETS, GRAPH_PRESETS
 from .reconstruct import (
@@ -61,7 +61,7 @@ class Report:
         self.sections[section] = payload
 
     def to_json(self) -> str:
-        return json.dumps(self.sections, indent=1)
+        return json.dumps(self.sections, indent=1, allow_nan=False)
 
     def to_text(self) -> str:
         lines = []
@@ -169,6 +169,10 @@ def _input_digest(record: MeasurementRecord, path: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    if args.trials < MIN_TRIALS:
+        print(f"error: --trials must be at least {MIN_TRIALS} (got {args.trials})",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         path = _resolve_data_path(args.data)
         record = load_record(path)
@@ -285,11 +289,15 @@ def cmd_robustness(args) -> int:
 
     report = Report()
     try:
-        if "p" in data:
-            graph = Graph.from_json_dict(data["graph"])
+        if isinstance(data, dict) and "p" in data:
+            graph = Graph.from_json_dict(data.get("graph"))
             frame = (LocalFrame.from_json_list(data["frame"])
                      if data.get("frame") else LocalFrame.identity(graph.n))
             state = GraphDiagonalState(np.asarray(data["p"], dtype=float))
+            if state.p.shape != (1 << graph.n,):
+                raise RecordFormatError(
+                    f"'p' must list 2^{graph.n} populations, got shape {state.p.shape}"
+                )
             record = None
         else:
             record = record_from_json_dict(data)
@@ -331,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("data", help="record JSON file (or bundled name, e.g. table1.json)")
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.add_argument("--trials", type=int, default=10_000,
-                    help="Monte-Carlo trials for error bars (default 10000)")
+                    help=f"Monte-Carlo trials for error bars (default 10000, "
+                         f"at least {MIN_TRIALS})")
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--partitions", action="append",
                     help="'all' or comma-separated qubits; repeatable; "

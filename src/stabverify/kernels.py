@@ -9,6 +9,7 @@ agree to tight tolerances (see tests and benchmarks/bench_kernels.py).
 
 Kernels:
   fwht             in-place unnormalized Walsh-Hadamard butterfly
+                   (fwht_rows: the numpy variant over the rows of a stack)
   jacobi_eigh_real cyclic Jacobi eigensolver, real symmetric input
   jacobi_eigh_herm cyclic Jacobi eigensolver, complex Hermitian input
   simplex_project  Euclidean projection onto the probability simplex
@@ -63,16 +64,23 @@ def fwht_numba(a):
 
 
 def fwht_numpy(a):
+    """Transform along the last axis (a 1-D vector, or each row of a stack)."""
     out = np.array(a, dtype=np.float64, copy=True)
-    n = out.size
+    *lead, n = out.shape
     h = 1
     while h < n:
-        out = out.reshape(-1, 2, h)
-        top = out[:, 0, :] + out[:, 1, :]
-        bot = out[:, 0, :] - out[:, 1, :]
-        out = np.stack((top, bot), axis=1)
+        out = out.reshape(*lead, -1, 2, h)
+        top = out[..., 0, :] + out[..., 1, :]
+        bot = out[..., 0, :] - out[..., 1, :]
+        out = np.stack((top, bot), axis=-2)
         h *= 2
-    return out.reshape(n)
+    return out.reshape(*lead, n)
+
+
+def fwht_rows(a):
+    """fwht of every row of a 2-D array, on the numpy path everywhere
+    (the numba variant takes 1-D input only)."""
+    return fwht_numpy(a)
 
 
 # ----------------------------------------------------------------------

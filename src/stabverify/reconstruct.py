@@ -12,6 +12,7 @@ data onto the physical simplex by weighted least squares.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,8 @@ class GraphDiagonalState:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
+        if not np.isfinite(p).all():
+            raise ValueError("populations must be finite numbers")
         if p.min() < -1e-10:
             raise ValueError(f"negative population {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-10:
@@ -271,18 +274,36 @@ def _kstring_from_index(k: int, n: int) -> str:
     return "".join("1" if (k >> a) & 1 else "0" for a in range(n))
 
 
+def _row_number(row: dict, key: str, where: str, convert=float):
+    try:
+        out = convert(row[key])
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise RecordFormatError(f"{where}: '{key}' must be a finite number, got {row[key]!r}")
+    return out
+
+
 def record_from_json_dict(d: dict) -> MeasurementRecord:
+    if not isinstance(d, dict):
+        raise RecordFormatError(
+            f"a record must be a JSON object, got {type(d).__name__}"
+        )
     try:
         graph = Graph.from_json_dict(d["graph"])
         frame = LocalFrame.from_json_list(d["frame"]) if d.get("frame") else LocalFrame.identity(graph.n)
         rows = d["measurements"]
     except KeyError as exc:
         raise RecordFormatError(f"missing top-level field {exc}") from None
+    if not isinstance(rows, list):
+        raise RecordFormatError("'measurements' must be a list")
     group = stabilizer_group(transformed_generators(graph, frame))
     by_string = {str(s): k for k, s in enumerate(group)}
     entries = {}
     for i, row in enumerate(rows):
         where = f"measurements[{i}]"
+        if not isinstance(row, dict):
+            raise RecordFormatError(f"{where}: must be an object")
         if "value" not in row:
             raise RecordFormatError(f"{where}: missing 'value'")
         if "k" in row:
@@ -303,9 +324,9 @@ def record_from_json_dict(d: dict) -> MeasurementRecord:
         if k in entries:
             raise RecordFormatError(f"{where}: duplicate stabilizer index {k}")
         entries[k] = MeasurementEntry(
-            value=float(row["value"]),
-            sigma=float(row.get("sigma", 0.0)),
-            shots=int(row["shots"]) if "shots" in row else None,
+            value=_row_number(row, "value", where),
+            sigma=_row_number(row, "sigma", where) if "sigma" in row else 0.0,
+            shots=_row_number(row, "shots", where, int) if "shots" in row else None,
         )
     return MeasurementRecord(graph=graph, frame=frame, entries=entries)
 

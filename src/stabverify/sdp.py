@@ -7,26 +7,39 @@ Primal problem (one PSD constraint per requested bipartition):
 Dual:  max -sum_T tr(Y_T rho^Gamma_T)  s.t.  Y_T >= 0, sum_T Y_T^Gamma_T <= I.
 
 Every returned solution carries a rescaled dual certificate that is verified
-post-hoc by fresh eigenvalue computations, so the reported duality gap is a
-rigorous bound regardless of solver internals.
+post-hoc from the returned primal and dual points alone, never from solver
+slacks, so the reported duality gap is a rigorous bound regardless of solver
+internals.
 
 Two paths:
   * ``ppt_robustness``: dense Hermitian sigma (2^2n real unknowns), intended
     for n <= 4; each Hermitian constraint enters as its real symmetric
-    embedding.
+    embedding.  Certified by fresh dense eigensolves.
   * ``symmetry_reduced_robustness``: for graph-diagonal rho the optimum may
     be sought among graph-diagonal sigma (stabilizer twirling preserves
     feasibility and the objective), where every partial transpose is again
     diagonal in the graph basis.  The program collapses to a linear program
-    in the 2^n diagonal weights.
+    in the 2^n diagonal weights, and it is solved and certified on weight
+    vectors only.  With H the 2^n x 2^n Walsh matrix and eps_T the sign each
+    stabilizer element picks up under the partial transpose over T, the
+    spectrum of the transposed operator with weights v is exactly
+
+        M_T v = H (eps_T * H v) / 2^n        (two fast Walsh transforms),
+
+    so feasibility and the rescaled dual bound are checked entrywise on
+    vectors; no dense operator is built unless a caller reads
+    ``SdpSolution.sigma`` or ``.dual_certificate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
+from . import kernels
 from .operators import (
     eig_hermitian,
     graph_diagonal_operator,
@@ -95,18 +108,34 @@ class RobustnessProblem:
 
 @dataclass
 class SdpSolution:
-    """Certified solution of the PPT-robustness program."""
+    """Certified solution of the PPT-robustness program.
+
+    ``sigma`` and ``dual_certificate`` (one Y_T per partition) are dense
+    operators, built by ``operators`` when first read: a reduced solution
+    holds them as graph-basis weight vectors until then.
+    """
 
     value: float
-    sigma: np.ndarray
     duality_gap: float
     dual_value: float
-    dual_certificate: list
     partitions: list
     min_eigs: dict
     sigma_min_eig: float
     iterations: int
     method: str
+    operators: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def _dense(self) -> tuple:
+        return self.operators()
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self._dense[0]
+
+    @property
+    def dual_certificate(self) -> list:
+        return self._dense[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,6 +192,10 @@ def _certify(rho, sigma, partitions, raw_multipliers, method, iterations):
     raw_multipliers: complex Hermitian Y_T per partition (any roundoff);
     they are clipped to the PSD cone and rescaled so sum Y_T^Gamma <= I holds
     exactly, which turns them into a rigorous dual bound.
+
+    This is the dense path's check.  The reduced path is certified by
+    ``_certify_weights``, the same checks on weight vectors through the exact
+    diagonal identity spectrum((sum_j v_j |j><j|)^Gamma_T) = M_T v.
     """
     d = rho.shape[0]
     value = float(np.trace(sigma).real)
@@ -201,31 +234,33 @@ def _certify(rho, sigma, partitions, raw_multipliers, method, iterations):
         )
     return SdpSolution(
         value=value,
-        sigma=sigma,
         duality_gap=gap,
         dual_value=dual_value,
-        dual_certificate=certificate,
         partitions=list(partitions),
         min_eigs=min_eigs,
         sigma_min_eig=sigma_min,
         iterations=iterations,
         method=method,
+        operators=lambda: (sigma, certificate),
     )
 
 
-def _trivial_solution(rho, partitions, min_eigs, method):
-    d = rho.shape[0]
+def _zero_operators(d, count):
+    return (np.zeros((d, d), dtype=np.complex128),
+            [np.zeros((d, d), dtype=np.complex128) for _ in range(count)])
+
+
+def _trivial_solution(d, partitions, min_eigs, method):
     return SdpSolution(
         value=0.0,
-        sigma=np.zeros((d, d), dtype=np.complex128),
         duality_gap=0.0,
         dual_value=0.0,
-        dual_certificate=[np.zeros((d, d), dtype=np.complex128) for _ in partitions],
         partitions=list(partitions),
         min_eigs=dict(zip(partitions, min_eigs)),
         sigma_min_eig=0.0,
         iterations=0,
         method=method,
+        operators=partial(_zero_operators, d, len(partitions)),
     )
 
 
@@ -248,7 +283,7 @@ def ppt_robustness(
         raise ValueError("need at least one partition")
     pt_eigs = [ppt_min_eig(rho, part) for part in partitions]
     if min(pt_eigs) >= -1e-12:
-        return _trivial_solution(rho, partitions, pt_eigs, "dense")
+        return _trivial_solution(d, partitions, pt_eigs, "dense")
 
     basis = _hermitian_basis(d)
     m = len(basis)
@@ -271,28 +306,138 @@ def ppt_robustness(
 
 
 # ----------------------------------------------------------------------
-# Symmetry-reduced path for graph-diagonal states.
+# Symmetry-reduced path for graph-diagonal states, in the Walsh domain.
 
 
-def _partition_sign_vector(group, partition) -> np.ndarray:
-    """(-1)^{#Y factors inside the partition} per stabilizer element:
-    the sign picked up by each S_k under that partial transpose."""
-    tmask = 0
-    for q in partition:
-        tmask |= 1 << (q - 1)
-    out = np.empty(len(group))
-    for k, s in enumerate(group):
-        out[k] = -1.0 if (s.x & s.z & tmask).bit_count() & 1 else 1.0
-    return out
+def _parity_signs(tmask, masks) -> np.ndarray:
+    """(-1)^{popcount(t & m)} for each t in tmask (rows), m in masks (columns).
+
+    With masks the Y-factor masks of the stabilizer elements, row T is eps_T:
+    the sign each S_k picks up under the partial transpose over T.
+    """
+    parity = tmask[:, None] & masks[None, :]
+    for shift in (32, 16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    return 1.0 - 2.0 * (parity & 1)
 
 
-def _walsh_matrix(n: int) -> np.ndarray:
-    j = np.arange(1 << n)
-    bits = (j[:, None] & j[None, :])
-    pop = np.zeros_like(bits)
-    for b in range(n):
-        pop += (bits >> b) & 1
-    return 1.0 - 2.0 * (pop & 1)
+def _cut_masks(graph: Graph, frame: LocalFrame, partitions):
+    """Y-factor mask of each stabilizer element (in group-index order) and
+    qubit mask of each partition, as int64 arrays."""
+    group = stabilizer_group(transformed_generators(graph, frame))
+    ymask = np.array([s.x & s.z for s in group], dtype=np.int64)
+    tmask = np.array([sum(1 << (q - 1) for q in part) for part in partitions],
+                     dtype=np.int64)
+    return ymask, tmask
+
+
+def _cut_products(signs, v) -> np.ndarray:
+    """Row T is M_T v = H (eps_T * H v) / 2^n: the spectrum, in graph-basis
+    order, of the partial transpose over T of the graph-diagonal operator
+    with weights v."""
+    v = np.asarray(v, dtype=np.float64)
+    return kernels.fwht_rows(signs * kernels.fwht(v)) / v.size
+
+
+def _cut_adjoint(signs, z) -> np.ndarray:
+    """sum_T M_T z_T for a (partitions, 2^n) stack z (each M_T is symmetric)."""
+    return kernels.fwht((signs * kernels.fwht_rows(z)).sum(axis=0)) / z.shape[1]
+
+
+class CutBlock:
+    """All partitions' constraints (rho + sigma)^Gamma_T >= 0 as one orthant
+    block of the LP in sigma's weights x: x -> stack_T M_T (p + x), with
+    g0 = stack_T M_T p.  Applied by Walsh transforms; no M_T is ever formed.
+
+    ymask holds the Y-factor mask of each stabilizer element, tmask the qubit
+    mask of each partition (see ``_cut_masks``), p the weights of rho.
+    """
+
+    kind = "lp"
+
+    def __init__(self, ymask: np.ndarray, tmask: np.ndarray, p: np.ndarray):
+        dim = ymask.size
+        idx = np.arange(dim)
+        self.signs = _parity_signs(tmask, ymask)
+        self._chars = _parity_signs(tmask, idx)
+        self._gather = ((ymask[:, None] ^ ymask[None, :]) * dim
+                        + (idx[:, None] ^ idx[None, :]))
+        self.g0 = _cut_products(self.signs, p).ravel()
+        self.size = self.g0.size
+
+    def slack(self, x):
+        return self.g0 + self.apply(x)
+
+    def apply(self, dx):
+        return _cut_products(self.signs, dx).ravel()
+
+    def adjoint(self, z):
+        return _cut_adjoint(self.signs, np.reshape(z, self.signs.shape))
+
+    def schur(self, d):
+        """sum_T M_T diag(d_T) M_T = H inner H / 4^n, where
+
+            inner_ij = sum_T eps_T[i] eps_T[j] fwht(d_T)[i ^ j]
+                     = g[y_i ^ y_j, i ^ j],  g[a, k] = sum_T (-1)^{a.t_T} fwht(d_T)[k],
+
+        by H diag(f) H = [fwht(f)[i ^ j]]_ij and eps_T[i] eps_T[j] =
+        (-1)^{(y_i ^ y_j).t_T}.
+        """
+        dim = self.signs.shape[1]
+        g = self._chars.T @ kernels.fwht_rows(np.reshape(d, self.signs.shape))
+        inner = g.ravel()[self._gather]
+        # inner is symmetric, so transforming rows twice gives H inner H
+        return kernels.fwht_rows(kernels.fwht_rows(inner).T) / dim ** 2
+
+
+def _graph_diagonal_operators(sigma_weights, certificate_weights, graph, frame):
+    return (graph_diagonal_operator(sigma_weights, graph, frame),
+            [graph_diagonal_operator(y, graph, frame) for y in certificate_weights])
+
+
+def _certify_weights(p, q, raw_multipliers, signs, partitions, iterations,
+                     graph, frame):
+    """Diagonal counterpart of ``_certify`` on graph-basis weight vectors.
+
+    rho, sigma and every Y_T are graph-diagonal with weights p, q and the
+    rows of raw_multipliers, so each spectrum below is exact: sigma's is q,
+    (rho + sigma)^Gamma_T's is M_T (p + q), and (sum_T Y_T^Gamma_T)'s is
+    sum_T M_T y_T.  All are recomputed from p, q and y_T, never taken from
+    solver slacks.  The y_T are clipped at 0 and rescaled so the dual
+    constraint sum_T Y_T^Gamma_T <= I holds, as in ``_certify``.
+    """
+    value = float(q.sum())
+    sigma_min = float(q.min())
+    if sigma_min < PSD_FLOOR:
+        raise SdpConvergenceError(f"sigma not PSD ({sigma_min:.3e})")
+    min_eigs = {}
+    for part, w in zip(partitions, _cut_products(signs, p + q)):
+        min_eigs[part] = float(w.min())
+        if w.min() < PSD_FLOOR:
+            raise SdpConvergenceError(
+                f"(rho+sigma)^Gamma not PSD on {part} ({w.min():.3e})"
+            )
+    clipped = np.maximum(raw_multipliers, 0.0)
+    theta = max(0.0, float(_cut_adjoint(signs, clipped).max()) - 1.0)
+    certificate = clipped / (1.0 + theta)
+    dual_value = -float(np.sum(certificate * _cut_products(signs, p)))
+    gap = value - dual_value
+    if gap > GAP_BOUND * (1.0 + abs(value)) or gap < -1e-9:
+        raise SdpConvergenceError(
+            f"certified duality gap {gap:.3e} exceeds tolerance"
+        )
+    return SdpSolution(
+        value=value,
+        duality_gap=gap,
+        dual_value=dual_value,
+        partitions=list(partitions),
+        min_eigs=min_eigs,
+        sigma_min_eig=sigma_min,
+        iterations=iterations,
+        method="reduced",
+        operators=partial(_graph_diagonal_operators, q, list(certificate),
+                          graph, frame),
+    )
 
 
 def symmetry_reduced_robustness(
@@ -308,7 +453,8 @@ def symmetry_reduced_robustness(
     A stabilizer twirl maps any feasible sigma to a graph-diagonal one with
     the same trace (partial transposes of stabilizer elements are the same
     elements up to sign), so for graph-diagonal rho this restriction is
-    exact; the program becomes a linear program in the diagonal weights.
+    exact; the program becomes a linear program in the diagonal weights,
+    solved and certified on weight vectors (see the module docstring).
     """
     p = state_p(state)
     n = graph.n
@@ -322,31 +468,17 @@ def symmetry_reduced_robustness(
     )
     if not partitions:
         raise ValueError("need at least one partition")
-    group = stabilizer_group(transformed_generators(graph, frame))
     D = 1 << n
-    H = _walsh_matrix(n)
-    mats = []
-    offsets = []
-    for part in partitions:
-        eps = _partition_sign_vector(group, part)
-        M = (H @ (eps[:, None] * H)) / D
-        mats.append(M)
-        offsets.append(M @ p)
-    low = min(b.min() for b in offsets)
-    rho = graph_diagonal_operator(p, graph, frame)
+    cuts = CutBlock(*_cut_masks(graph, frame, partitions), p)
+    offsets = cuts.g0.reshape(cuts.signs.shape)  # row T: spectrum of rho^Gamma_T
+    low = float(offsets.min())
     if low >= -1e-12:
-        return _trivial_solution(rho, partitions, [float(b.min()) for b in offsets], "reduced")
+        return _trivial_solution(D, partitions, [float(b.min()) for b in offsets], "reduced")
 
-    c = np.ones(D)
-    blocks = [LpBlock(np.zeros(D), np.eye(D))]
-    for M, b in zip(mats, offsets):
-        blocks.append(LpBlock(b, M))
+    blocks = [LpBlock(np.zeros(D), np.eye(D)), cuts]
     x0 = np.full(D, 0.5 + 2.0 * max(0.0, -low))
-    res = solve_conic(c, blocks, x0, gap_tol=gap_tol, max_iter=max_iter)
-    q = np.maximum(res.x, 0.0)
-    sigma = graph_diagonal_operator(q, graph, frame)
-    multipliers = [
-        graph_diagonal_operator(np.maximum(y, 0.0), graph, frame)
-        for y in res.duals[1:]
-    ]
-    return _certify(rho, sigma, partitions, multipliers, "reduced", res.iterations)
+    res = solve_conic(np.ones(D), blocks, x0, gap_tol=gap_tol, max_iter=max_iter)
+    return _certify_weights(
+        p, np.maximum(res.x, 0.0), res.duals[1].reshape(cuts.signs.shape),
+        cuts.signs, partitions, res.iterations, graph, frame,
+    )

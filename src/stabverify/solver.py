@@ -69,7 +69,12 @@ class SdpBlock:
 
 
 class LpBlock:
-    """Affine map x -> g0 + G x into the nonnegative orthant."""
+    """Affine map x -> g0 + G x into the nonnegative orthant.
+
+    ``solve_conic`` uses an orthant block only through ``slack``, ``apply``,
+    ``adjoint`` and ``schur``, so a matrix-free block with these methods (and
+    ``kind``, ``size``) can stand in for one.
+    """
 
     kind = "lp"
 
@@ -86,6 +91,10 @@ class LpBlock:
 
     def adjoint(self, z):
         return self.G.T @ z
+
+    def schur(self, d):
+        """The block's Schur-complement term G' diag(d) G."""
+        return (self.G.T * d) @ self.G
 
 
 @dataclass
@@ -183,7 +192,7 @@ def solve_conic(
                 s, z = S[j], Z[j]
                 w = np.sqrt(s / z)
                 lam = np.sqrt(s * z)
-                H += (b.G / (w ** 2)[:, None]).T @ b.G
+                H += b.schur(1.0 / w ** 2)
                 scal.append((w, None, lam))
         H = (H + H.T) / 2.0
         try:

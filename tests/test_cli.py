@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stabverify.cli import main
+from stabverify.cli import Report, main
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +223,21 @@ class TestAnalyzeErrors:
         assert code == 2
         assert "measurements[0]" in err
 
+    @pytest.mark.parametrize("trials", ["0", "999"])
+    def test_trials_below_floor_exits_2(self, capsys, trials):
+        # fewer than 1000 trials used to print "sigma": NaN and exit 0
+        code, out, err = run_cli(capsys, "analyze", "table1.json", "--trials", trials,
+                                 "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "--trials must be at least 1000" in err
+
+    def test_report_json_refuses_nan(self):
+        report = Report()
+        report.add("raw", "fidelity", 0.5, "raw", sigma=float("nan"))
+        with pytest.raises(ValueError):
+            report.to_json()
+
     def test_partitions_without_full_group_exits_3(self, tmp_path, capsys):
         out = tmp_path / "gen.json"
         run_cli(capsys, "simulate", "--graph", "path:4", "--indices", "generators",
@@ -232,3 +247,42 @@ class TestAnalyzeErrors:
         assert code == 3
         assert "error" in rep["sdp"]
         assert "generator_bounds" in rep  # partial report still emitted
+
+
+def _null_value_record():
+    return {
+        "graph": {"n": 2, "edges": [[1, 2]]},
+        "measurements": [{"k": "10", "value": 0.9, "sigma": 0.01},
+                         {"k": "01", "value": None, "sigma": 0.01}],
+    }
+
+
+class TestMalformedDocuments:
+    # each used to crash with a TypeError traceback and exit 1
+    @pytest.mark.parametrize("command", ["analyze", "robustness"])
+    @pytest.mark.parametrize("doc,field", [
+        ([1, 2], "JSON object"),
+        ("p", "JSON object"),
+        (_null_value_record(), "measurements[1]: 'value'"),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, field):
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(f), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        {"p": [1.0, 0.0, 0.0, 0.0]},
+        {"graph": {"n": 2, "edges": [[1, 2]]}, "p": [1.0, 0.0, 0.0]},
+        {"graph": {"n": 2, "edges": [[1, 2]]}, "p": None},
+    ])
+    def test_bad_state_file_exits_2(self, tmp_path, capsys, doc):
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "robustness", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

@@ -301,6 +301,38 @@ class TestReducedPath:
         assert dual <= sol.value + 1e-12
         assert abs(dual - sol.dual_value) < 1e-9
 
+    def test_dense_operators_built_only_on_access(self, paper4, monkeypatch):
+        # the solve and its certification run on weight vectors; sigma and the
+        # dual certificate become dense operators only when first read
+        import stabverify.sdp as sdp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator built during the reduced solve")
+
+        graph, frame = paper4
+        p = np.zeros(16)
+        p[0] = 0.9
+        p[3] = 0.1
+        real_operator = sdp.graph_diagonal_operator
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return real_operator(*args)
+
+        monkeypatch.setattr(sdp, "eig_hermitian", refuse)
+        monkeypatch.setattr(sdp, "graph_diagonal_operator", refuse)
+        sol = symmetry_reduced_robustness(p, graph, frame)
+        trivial = symmetry_reduced_robustness(np.full(16, 1 / 16), graph, frame)
+        monkeypatch.setattr(sdp, "graph_diagonal_operator", counting)
+        sigma = sol.sigma
+        assert sol.sigma is sigma and len(sol.dual_certificate) == 7
+        assert len(built) == 1 + len(sol.partitions)  # built once, then reused
+        w = np.linalg.eigvalsh(sigma)
+        assert abs(w.sum() - sol.value) < 1e-12
+        assert abs(w[0] - sol.sigma_min_eig) < 1e-12
+        assert np.allclose(trivial.sigma, 0) and len(trivial.dual_certificate) == 7
+
     def test_rejects_unphysical_state(self):
         with pytest.raises(ValueError, match="physical"):
             symmetry_reduced_robustness(np.array([0.5, 0.6, -0.1, 0.0]), Graph.path(2))
