@@ -293,7 +293,11 @@ def cmd_robustness(args) -> int:
             graph = Graph.from_json_dict(data.get("graph"))
             frame = (LocalFrame.from_json_list(data["frame"])
                      if data.get("frame") else LocalFrame.identity(graph.n))
-            state = GraphDiagonalState(np.asarray(data["p"], dtype=float))
+            try:
+                p = np.asarray(data["p"], dtype=float)
+            except TypeError:
+                raise RecordFormatError("'p' must be a list of numbers") from None
+            state = GraphDiagonalState(p)
             if state.p.shape != (1 << graph.n,):
                 raise RecordFormatError(
                     f"'p' must list 2^{graph.n} populations, got shape {state.p.shape}"

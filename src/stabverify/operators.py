@@ -118,17 +118,12 @@ def partial_transpose(op: np.ndarray, subset, n: int | None = None) -> np.ndarra
     return t.transpose(perm).reshape(op.shape)
 
 
-def eig_hermitian(op: np.ndarray, tol: float = 1e-13):
+def eig_hermitian(op: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    In-repo cyclic Jacobi; rejects non-Hermitian input.
+    LAPACK ``eigh`` on the complex128 matrix; rejects non-Hermitian input.
     """
-    op = check_hermitian(op, tol=1e-10)
-    if np.max(np.abs(op.imag)) == 0.0:
-        w, V = kernels.jacobi_eigh_real(np.ascontiguousarray(op.real), tol)
-        return w, V.astype(np.complex128)
-    w, V = kernels.jacobi_eigh_herm(np.ascontiguousarray(op), tol)
-    return w, V
+    return np.linalg.eigh(check_hermitian(op, tol=1e-10))
 
 
 def eigvals_hermitian(op: np.ndarray) -> np.ndarray:

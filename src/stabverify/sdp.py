@@ -336,12 +336,12 @@ def _cut_products(signs, v) -> np.ndarray:
     order, of the partial transpose over T of the graph-diagonal operator
     with weights v."""
     v = np.asarray(v, dtype=np.float64)
-    return kernels.fwht_rows(signs * kernels.fwht(v)) / v.size
+    return kernels.fwht(signs * kernels.fwht(v)) / v.size
 
 
 def _cut_adjoint(signs, z) -> np.ndarray:
     """sum_T M_T z_T for a (partitions, 2^n) stack z (each M_T is symmetric)."""
-    return kernels.fwht((signs * kernels.fwht_rows(z)).sum(axis=0)) / z.shape[1]
+    return kernels.fwht((signs * kernels.fwht(z)).sum(axis=0)) / z.shape[1]
 
 
 class CutBlock:
@@ -384,10 +384,10 @@ class CutBlock:
         (-1)^{(y_i ^ y_j).t_T}.
         """
         dim = self.signs.shape[1]
-        g = self._chars.T @ kernels.fwht_rows(np.reshape(d, self.signs.shape))
+        g = self._chars.T @ kernels.fwht(np.reshape(d, self.signs.shape))
         inner = g.ravel()[self._gather]
         # inner is symmetric, so transforming rows twice gives H inner H
-        return kernels.fwht_rows(kernels.fwht_rows(inner).T) / dim ** 2
+        return kernels.fwht(kernels.fwht(inner).T) / dim ** 2
 
 
 def _graph_diagonal_operators(sigma_weights, certificate_weights, graph, frame):

@@ -7,8 +7,8 @@
 Mehrotra predictor-corrector with Nesterov-Todd scaling.  Complex Hermitian
 constraints enter through their real symmetric embedding (``real_embed``),
 which doubles the block size and the eigenvalue multiplicities but keeps all
-solver arithmetic real.  Block eigendecompositions use the in-repo Jacobi
-kernels; the Schur system is solved by Cholesky factorization.
+solver arithmetic real.  Block eigendecompositions use LAPACK ``eigh``; the
+Schur system is solved by Cholesky factorization.
 
 Step control: fraction-to-boundary 0.98, at most 200 iterations, relative
 complementarity-gap target 1e-7 by default.
@@ -19,10 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import kernels
-
-EIG_TOL = 1e-13
 
 
 class SdpConvergenceError(RuntimeError):
@@ -109,15 +105,11 @@ class IpmResult:
     converged: bool
 
 
-def _eigh(A):
-    return kernels.jacobi_eigh_real(np.ascontiguousarray(A), EIG_TOL)
-
-
 def _max_step_diag_scaled(lam, D):
     """sup alpha with diag(lam) + alpha D PSD (lam > 0 elementwise)."""
     li = 1.0 / np.sqrt(lam)
     M = (li[:, None] * D) * li[None, :]
-    w, _ = _eigh(M)
+    w, _ = np.linalg.eigh(M)
     t = w[0]
     return np.inf if t >= 0.0 else 1.0 / (-t)
 
@@ -174,12 +166,12 @@ def solve_conic(
         H = np.zeros((c.size, c.size))
         for j, b in enumerate(blocks):
             if b.kind == "sdp":
-                wz, Uz = _eigh(Z[j])
+                wz, Uz = np.linalg.eigh(Z[j])
                 wz = np.maximum(wz, 1e-300)
                 Zh = (Uz * np.sqrt(wz)) @ Uz.T
                 Zhi = (Uz / np.sqrt(wz)) @ Uz.T
                 M = Zh @ S[j] @ Zh
-                wm, Um = _eigh((M + M.T) / 2.0)
+                wm, Um = np.linalg.eigh((M + M.T) / 2.0)
                 wm = np.maximum(wm, 1e-300)
                 R = Zhi @ (Um * wm ** 0.25)
                 Ri = (Um * wm ** -0.25).T @ Zh

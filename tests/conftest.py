@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from stabverify import kernels
 from stabverify.presets import FRAME_PAPER4, FRAME_PAPER6, GRAPH_PAPER4, GRAPH_PAPER6
 
 ACCEPTANCE_LINES = []
@@ -17,12 +16,6 @@ TABLE1_A = np.array([0.994, 0.849, 0.937, 0.911])
 TABLE1_SIGMA = np.array([0.001, 0.003, 0.003, 0.002])
 TABLE2_A = np.array([0.593, 0.879, 0.998, 0.997, 0.791, 0.831])
 TABLE2_SIGMA = np.array([0.008, 0.005, 0.001, 0.001, 0.006, 0.006])
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compile once so timed sections measure algorithm cost only
-    kernels.warmup()
 
 
 @pytest.fixture

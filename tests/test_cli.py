@@ -278,6 +278,7 @@ class TestMalformedDocuments:
         {"p": [1.0, 0.0, 0.0, 0.0]},
         {"graph": {"n": 2, "edges": [[1, 2]]}, "p": [1.0, 0.0, 0.0]},
         {"graph": {"n": 2, "edges": [[1, 2]]}, "p": None},
+        {"graph": {"n": 2, "edges": [[1, 2]]}, "p": {}},
     ])
     def test_bad_state_file_exits_2(self, tmp_path, capsys, doc):
         f = tmp_path / "state.json"

@@ -1,17 +1,6 @@
 import numpy as np
-import pytest
 
-from stabverify import kernels
-from stabverify.kernels import (
-    HAVE_NUMBA,
-    fwht_numpy,
-    jacobi_herm_numpy,
-    jacobi_real_numpy,
-    pg_fit_numpy,
-    simplex_project_numpy,
-)
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
+from stabverify.kernels import fwht, pg_fit, simplex_project
 
 
 def walsh_matrix(n):
@@ -28,64 +17,12 @@ class TestFwht:
         rng = np.random.default_rng(0)
         for n in range(1, 7):
             x = rng.standard_normal(1 << n)
-            assert np.allclose(fwht_numpy(x), walsh_matrix(n) @ x, atol=1e-12)
+            assert np.allclose(fwht(x), walsh_matrix(n) @ x, atol=1e-12)
 
     def test_double_transform_scales(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(32)
-        assert np.allclose(fwht_numpy(fwht_numpy(x)), 32 * x, atol=1e-10)
-
-    @needs_numba
-    def test_variants_agree(self):
-        rng = np.random.default_rng(2)
-        for n in (1, 4, 6):
-            x = rng.standard_normal(1 << n)
-            assert np.allclose(kernels.fwht_numba(x), fwht_numpy(x), atol=1e-12)
-
-
-class TestJacobi:
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
-    def test_real_reconstruction(self, d):
-        rng = np.random.default_rng(d)
-        A = rng.standard_normal((d, d))
-        A = (A + A.T) / 2
-        w, V = jacobi_real_numpy(A, 1e-13)
-        assert np.max(np.abs(A - (V * w) @ V.T)) < 1e-10 * max(1, np.max(np.abs(A)))
-        assert np.max(np.abs(V.T @ V - np.eye(d))) < 1e-11
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
-    def test_herm_reconstruction(self, d):
-        rng = np.random.default_rng(d + 100)
-        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        A = (A + A.conj().T) / 2
-        w, V = jacobi_herm_numpy(A, 1e-13)
-        assert np.max(np.abs(A - (V * w) @ V.conj().T)) < 1e-10 * max(1, np.max(np.abs(A)))
-        assert np.max(np.abs(V.conj().T @ V - np.eye(d))) < 1e-11
-
-    def test_doubled_spectrum_input(self):
-        # real embedding of a Hermitian matrix: every eigenvalue twice
-        rng = np.random.default_rng(42)
-        h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = (h + h.conj().T) / 2
-        emb = np.block([[h.real, -h.imag], [h.imag, h.real]])
-        w, V = jacobi_real_numpy(emb, 1e-13)
-        assert np.max(np.abs(emb - (V * w) @ V.T)) < 1e-10
-        assert np.allclose(w[0::2], w[1::2], atol=1e-9)
-
-    @needs_numba
-    def test_variants_agree(self):
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((12, 12))
-        A = (A + A.T) / 2
-        w1, V1 = kernels.jacobi_real_numba(A, 1e-13)
-        w2, V2 = jacobi_real_numpy(A, 1e-13)
-        assert np.allclose(w1, w2, atol=1e-10)
-        assert np.max(np.abs(A - (V1 * w1) @ V1.T)) < 1e-11
-        H = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        H = (H + H.conj().T) / 2
-        w1, _ = kernels.jacobi_herm_numba(H, 1e-13)
-        w2, _ = jacobi_herm_numpy(H, 1e-13)
-        assert np.allclose(w1, w2, atol=1e-10)
+        assert np.allclose(fwht(fwht(x)), 32 * x, atol=1e-10)
 
 
 class TestSimplexProject:
@@ -104,7 +41,7 @@ class TestSimplexProject:
         rng = np.random.default_rng(4)
         for _ in range(30):
             y = rng.standard_normal(int(rng.integers(1, 40))) * 3
-            p = simplex_project_numpy(y)
+            p = simplex_project(y)
             assert abs(p.sum() - 1) < 1e-12
             assert (p >= 0).all()
             assert np.allclose(p, self.oracle(y), atol=1e-10)
@@ -112,16 +49,7 @@ class TestSimplexProject:
     def test_fixed_point_on_simplex(self):
         rng = np.random.default_rng(5)
         p = rng.dirichlet(np.ones(8))
-        assert np.allclose(simplex_project_numpy(p), p, atol=1e-12)
-
-    @needs_numba
-    def test_variants_agree(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            y = rng.standard_normal(17) * 2
-            assert np.allclose(
-                kernels.simplex_project_numba(y), simplex_project_numpy(y), atol=1e-12
-            )
+        assert np.allclose(simplex_project(p), p, atol=1e-12)
 
 
 class TestPgFit:
@@ -129,7 +57,7 @@ class TestPgFit:
         rng = np.random.default_rng(seed)
         D = 1 << n
         p_true = rng.dirichlet(np.ones(D))
-        m = fwht_numpy(p_true)
+        m = fwht(p_true)
         idx = np.arange(1, D, dtype=np.int64)
         vals = m[idx]
         wts = np.full(idx.size, 1e4)
@@ -138,35 +66,6 @@ class TestPgFit:
     def test_recovers_consistent_data(self):
         p_true, idx, vals, wts = self.setup_problem()
         p0 = np.full(p_true.size, 1.0 / p_true.size)
-        p, kkt, _ = pg_fit_numpy(idx, vals, wts, p0, 200_000, 1e-10)
+        p, kkt, _ = pg_fit(idx, vals, wts, p0, 200_000, 1e-10)
         assert kkt <= 1e-10
         assert np.max(np.abs(p - p_true)) < 1e-6
-
-    @needs_numba
-    def test_variants_agree(self):
-        p_true, idx, vals, wts = self.setup_problem(seed=8)
-        p0 = np.full(p_true.size, 1.0 / p_true.size)
-        p1, k1, _ = kernels.pg_fit_numba(idx, vals, wts, p0, 100_000, 1e-10)
-        p2, k2, _ = pg_fit_numpy(idx, vals, wts, p0, 100_000, 1e-10)
-        assert np.allclose(p1, p2, atol=1e-8)
-        assert k1 <= 1e-10 and k2 <= 1e-10
-
-
-def test_warmup_runs():
-    kernels.warmup()
-
-
-@needs_numba
-def test_dispatch_respects_env(monkeypatch):
-    import importlib
-
-    assert kernels.fwht is kernels.fwht_numba or not kernels.USE_NUMBA
-    monkeypatch.setenv("STABVERIFY_NO_NUMBA", "1")
-    mod = importlib.reload(kernels)
-    try:
-        assert mod.USE_NUMBA is False
-        assert mod.fwht is mod.fwht_numpy
-        assert mod.jacobi_eigh_real is mod.jacobi_real_numpy
-    finally:
-        monkeypatch.delenv("STABVERIFY_NO_NUMBA")
-        importlib.reload(kernels)

@@ -24,6 +24,7 @@ from stabverify.operators import (
     shannon_entropy,
     stabilizer_expectations,
 )
+from stabverify.solver import real_embed
 
 
 def char_poly_roots(A):
@@ -221,6 +222,34 @@ class TestEigHermitian:
             assert np.max(np.abs(A - (V * w) @ V.conj().T)) <= 1e-9 * scale
             assert np.max(np.abs(V.conj().T @ V - np.eye(d))) <= 1e-10
             assert np.all(np.diff(w) >= -1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+    def test_real_reconstruction(self, d):
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((d, d))
+        A = (A + A.T) / 2
+        w, V = eig_hermitian(A)
+        assert np.max(np.abs(A - (V * w) @ V.conj().T)) < 1e-10 * max(1, np.max(np.abs(A)))
+        assert np.max(np.abs(V.conj().T @ V - np.eye(d))) < 1e-11
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
+    def test_herm_reconstruction(self, d):
+        rng = np.random.default_rng(d + 100)
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        A = (A + A.conj().T) / 2
+        w, V = eig_hermitian(A)
+        assert np.max(np.abs(A - (V * w) @ V.conj().T)) < 1e-10 * max(1, np.max(np.abs(A)))
+        assert np.max(np.abs(V.conj().T @ V - np.eye(d))) < 1e-11
+
+    def test_doubled_spectrum_input(self):
+        # the solver's dense blocks: real_embed(h) has every eigenvalue twice
+        rng = np.random.default_rng(42)
+        h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = (h + h.conj().T) / 2
+        emb = real_embed(h)
+        w, V = eig_hermitian(emb)
+        assert np.max(np.abs(emb - (V * w) @ V.conj().T)) < 1e-10
+        assert np.allclose(w[0::2], w[1::2], atol=1e-9)
 
     def test_degenerate_spectrum(self):
         A = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)

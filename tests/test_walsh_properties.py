@@ -1,6 +1,7 @@
 """Property tests of the Walsh-domain identities behind the reduced PPT path.
 
-For a graph-diagonal operator with weights v, the partial transpose over T is
+``fwht`` transforms a vector or each row of a stack, the same either way, and
+applying it twice multiplies by 2^n.  For a graph-diagonal operator with weights v, the partial transpose over T is
 again graph-diagonal with weights M_T v = H (eps_T * H v) / 2^n.  These tests
 check that identity, and the LP block built on it, against dense operators
 over random graphs, local frames and weights at n <= 4.
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stabverify import Graph, LocalFrame, graph_diagonal_operator, partial_transpose
+from stabverify.kernels import fwht
 from stabverify.sdp import CutBlock, _cut_masks, all_bipartitions
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -38,6 +40,17 @@ def graphs_and_frames(draw):
 
 def weights(n):
     return arrays(np.float64, 1 << n, elements=st.floats(-1.0, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_fwht_stack_matches_rows_and_inverts(data):
+    n = data.draw(st.integers(0, 8))
+    rows = data.draw(st.integers(1, 5))
+    x = data.draw(arrays(np.float64, (rows, 1 << n), elements=st.floats(-1.0, 1.0)))
+    stacked = fwht(x)
+    assert np.array_equal(stacked, np.array([fwht(row) for row in x]))
+    assert np.max(np.abs(fwht(stacked) - (1 << n) * x)) <= 1e-10
 
 
 def dense_cut_matrices(graph, frame, partitions):
