@@ -13,13 +13,14 @@ fidelity respects F_min: the quadratic program
 
     min sum_j p_j^2   s.t.  p >= 0, sum p = 1, p_0 >= F_min
 
-whose optimum puts p_0 at the fidelity bound and spreads the remainder
-uniformly.  Every state compatible with the generator data is feasible here,
-so this is a valid lower bound on its purity; the solution is certified by
-an explicit KKT residual.
+whose optimum puts p_0 = f = max(F_min, 2^-n) and spreads the remainder
+uniformly: f^2 + (1 - f)^2 / (2^n - 1).  Every state compatible with the
+generator data is feasible here, so this is a valid lower bound on its
+purity; ``purity_min_solution`` certifies it by an explicit KKT residual.
 
 Error bars come from Monte-Carlo resampling of the a_i (clipped normal),
-because the bounds are nonsmooth at their max{0, .} kinks.
+because the bounds are nonsmooth at their max{0, .} kinks.  Each bound
+reduces along the last axis, so it is evaluated once over the sample matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import shannon_entropy
 from .reconstruct import state_p
 
 MIN_TRIALS = 1000  # fewest Monte-Carlo trials behind an error bar
@@ -35,11 +37,11 @@ MIN_TRIALS = 1000  # fewest Monte-Carlo trials behind an error bar
 
 def _abs_a(a) -> np.ndarray:
     a = np.abs(np.asarray(a, dtype=float))
-    if a.ndim != 1 or a.size == 0:
+    if a.ndim == 0 or a.shape[-1] == 0:
         raise ValueError("expected a nonempty vector of generator expectations")
     if a.max() > 1.0 + 1e-12:
         raise ValueError(f"generator expectation magnitude {a.max()} exceeds 1")
-    return np.minimum(a, 1.0)
+    return np.minimum(a, 1.0, out=a)
 
 
 @dataclass(frozen=True)
@@ -64,16 +66,15 @@ class GeneratorData:
         return self.a.size
 
 
-def fidelity_min(a) -> float:
+def fidelity_min(a):
     """Optimal worst-case fidelity from generator expectations alone."""
     a = _abs_a(a)
-    return max(0.0, (a.sum() - a.size + 2.0) / 2.0)
+    return np.maximum(0.0, (a.sum(axis=-1) - a.shape[-1] + 2.0) / 2.0)
 
 
-def robustness_min(a, b_size: int) -> float:
+def robustness_min(a, b_size: int):
     """Worst-case global-robustness bound; b_size from two_coloring."""
-    a = _abs_a(a)
-    return max(0.0, 2.0 ** b_size * (a.sum() - a.size + 2.0) / 2.0 - 1.0)
+    return np.maximum(0.0, 2.0 ** b_size * fidelity_min(a) - 1.0)
 
 
 def log_robustness(r: float) -> float:
@@ -83,26 +84,24 @@ def log_robustness(r: float) -> float:
     return float(np.log2(1.0 + r))
 
 
-def _binary_entropy(p):
-    p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
+def _binary_entropy(p: np.ndarray) -> np.ndarray:
+    """Elementwise H(p) in bits with 0 log 0 = 0; overwrites p with 1 - p."""
     inside = (p > 0) & (p < 1)
-    q = p[inside]
-    out[inside] = -q * np.log2(q) - (1 - q) * np.log2(1 - q)
-    return out
+    out = np.log2(p, out=np.zeros_like(p), where=inside) * p
+    q = np.subtract(1.0, p, out=p)
+    out += np.log2(q, out=np.zeros_like(q), where=inside) * q
+    return np.negative(out, out=out)
 
 
-def rel_entropy_min(a, b_size: int) -> float:
+def rel_entropy_min(a, b_size: int):
     """Worst-case relative-entropy-of-entanglement bound from generators."""
-    a = _abs_a(a)
-    return max(0.0, b_size - _binary_entropy((1.0 + a) / 2.0).sum())
+    h = _binary_entropy((1.0 + _abs_a(a)) / 2.0)
+    return np.maximum(0.0, b_size - h.sum(axis=-1))
 
 
 def er_lower_from_state(state, b_size: int) -> float:
     """Relative-entropy bound |B| - S(p) for a physical graph-diagonal state."""
-    p = state_p(state)
-    nz = p[p > 0]
-    return max(0.0, b_size - float(-(nz * np.log2(nz)).sum()))
+    return max(0.0, b_size - shannon_entropy(state_p(state)))
 
 
 @dataclass(frozen=True)
@@ -117,11 +116,10 @@ def purity_min_solution(a, n: int | None = None) -> PurityQpSolution:
 
     The minimizer is p_0 = max(F_min, 2^-n) with the remaining mass uniform;
     the returned residual is the largest violation among stationarity,
-    feasibility and complementary slackness of the QP.
+    feasibility and complementary slackness; the value is ``purity_min``.
     """
     a = _abs_a(a)
-    if n is None:
-        n = a.size
+    n = a.size if n is None else n
     dim = 1 << n
     f = max(fidelity_min(a), 1.0 / dim)
     rest = (1.0 - f) / (dim - 1)
@@ -139,31 +137,35 @@ def purity_min_solution(a, n: int | None = None) -> PurityQpSolution:
         abs(lam * (p[0] - f)),
         float(np.max(np.abs(2.0 * p[1:] - mu))) if dim > 1 else 0.0,
     )
-    return PurityQpSolution(value=float(np.dot(p, p)), p=p, kkt_residual=res)
+    return PurityQpSolution(value=float(purity_min(a, n)), p=p, kkt_residual=res)
 
 
-def purity_min(a, n: int | None = None) -> float:
+def purity_min(a, n: int | None = None):
     """Worst-case purity consistent with the generator measurements."""
-    return purity_min_solution(a, n=n).value
+    f = fidelity_min(a)
+    n = np.shape(a)[-1] if n is None else n
+    f = np.maximum(f, 0.5 ** n)
+    return f * f + (1.0 - f) ** 2 / (2.0 ** n - 1.0)
 
 
 # ----------------------------------------------------------------------
 # Monte-Carlo error propagation.
 
 
-def _check_trials(trials: int):
+def _samples(a, sigma, trials: int, seed: int) -> np.ndarray:
+    """(trials, n) draws of a_i' ~ N(a_i, sigma_i), clipped to [-1, 1]."""
     if trials < MIN_TRIALS:
         raise ValueError(f"use at least {MIN_TRIALS} trials")
+    samples = np.random.default_rng(seed).normal(a, sigma, size=(trials, np.size(a)))
+    return np.clip(samples, -1.0, 1.0, out=samples)
 
 
 def propagate_errors(bound_fn, a, sigma, trials: int = 10_000, seed: int = 0):
-    """Mean and std of bound_fn over a_i' ~ N(a_i, sigma_i) clipped to [-1, 1]."""
-    _check_trials(trials)
-    a = np.asarray(a, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    rng = np.random.default_rng(seed)
-    samples = np.clip(rng.normal(a, sigma, size=(trials, a.size)), -1.0, 1.0)
-    vals = np.array([bound_fn(s) for s in samples])
+    """Mean and std of bound_fn over a_i' ~ N(a_i, sigma_i) clipped to [-1, 1].
+
+    bound_fn maps the (trials, n) sample matrix to one value per row.
+    """
+    vals = bound_fn(_samples(a, sigma, trials, seed))
     return {"mean": float(vals.mean()), "std": float(vals.std())}
 
 
@@ -201,21 +203,14 @@ def bound_report(
     One shared sample set keeps the derived quantities (e.g. lrg vs rg)
     mutually consistent.
     """
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    samples = np.clip(
-        rng.normal(data.a, data.sigma, size=(trials, data.n)), -1.0, 1.0
-    )
-    fs = np.array([fidelity_min(s) for s in samples])
-    ps = np.array([purity_min(s) for s in samples])
-    rs = np.array([robustness_min(s, b_size) for s in samples])
-    es = np.array([rel_entropy_min(s, b_size) for s in samples])
-    ls = np.log2(1.0 + rs)
+    samples = _samples(data.a, data.sigma, trials, seed)
     rg = robustness_min(data.a, b_size)
+    rs = robustness_min(samples, b_size)
     return BoundReport(
-        f_min=BoundValue(fidelity_min(data.a), float(fs.std())),
-        p_min=BoundValue(purity_min(data.a), float(ps.std())),
+        f_min=BoundValue(fidelity_min(data.a), float(fidelity_min(samples).std())),
+        p_min=BoundValue(purity_min(data.a), float(purity_min(samples).std())),
         rg_min=BoundValue(rg, float(rs.std())),
-        lrg_min=BoundValue(log_robustness(rg), float(ls.std())),
-        er_min=BoundValue(rel_entropy_min(data.a, b_size), float(es.std())),
+        lrg_min=BoundValue(log_robustness(rg), float(np.log2(1.0 + rs).std())),
+        er_min=BoundValue(rel_entropy_min(data.a, b_size),
+                          float(rel_entropy_min(samples, b_size).std())),
     )

@@ -176,6 +176,7 @@ def cmd_analyze(args) -> int:
     try:
         path = _resolve_data_path(args.data)
         record = load_record(path)
+        state = ml_fit(record) if record.has_full_group() else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -188,13 +189,11 @@ def cmd_analyze(args) -> int:
     except (NotTwoColorableError, ValueError) as exc:
         report.set_section("two_coloring", {"error": str(exc)})
 
-    state = None
-    if record.has_full_group():
+    if state is not None:
         f, fs = raw_fidelity(record)
         m, _ = record.full_vector()
         report.add("raw", "fidelity", f, "raw", sigma=fs)
         report.add("raw", "purity", raw_purity(m), "raw")
-        state = ml_fit(record)
         report.add("ml", "fidelity", state.fidelity, "ml")
         report.add("ml", "purity", state.purity(), "ml")
         report.add("ml", "entropy", state.entropy(), "ml")

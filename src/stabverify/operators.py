@@ -152,9 +152,7 @@ def von_neumann_entropy(op: np.ndarray, tol: float = 1e-9) -> float:
     w = eigvals_hermitian(op)
     if w[0] < -tol:
         raise ValueError(f"negative eigenvalue {w[0]:.3e} in entropy input")
-    w = np.clip(w, 0.0, None)
-    nz = w[w > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return shannon_entropy(np.clip(w, 0.0, None))
 
 
 def shannon_entropy(p: np.ndarray) -> float:

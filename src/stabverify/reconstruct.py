@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .operators import shannon_entropy
 from .pauli import Graph, LocalFrame, stabilizer_group, transformed_generators
 
 
@@ -65,18 +66,17 @@ class MeasurementRecord:
         return self.graph.n
 
     def has_full_group(self) -> bool:
-        dim = 1 << self.n
-        return all(k in self.entries or k == 0 for k in range(dim))
+        return len(self.entries.keys() - {0}) == (1 << self.n) - 1
 
     def has_generators(self) -> bool:
         return all((1 << a) in self.entries for a in range(self.n))
 
     def full_vector(self) -> np.ndarray:
         """(values, sigmas) over the whole group; requires the full group."""
-        if not self.has_full_group():
-            missing = [k for k in range(1 << self.n) if k not in self.entries and k != 0]
+        missing = (1 << self.n) - 1 - len(self.entries.keys() - {0})
+        if missing:
             raise ValueError(
-                f"full stabilizer group required; missing {len(missing)} indices"
+                f"full stabilizer group required; missing {missing} indices"
             )
         dim = 1 << self.n
         m = np.ones(dim)
@@ -137,8 +137,7 @@ class GraphDiagonalState:
         return float(np.dot(self.p, self.p))
 
     def entropy(self) -> float:
-        nz = self.p[self.p > 0]
-        return float(-(nz * np.log2(nz)).sum())
+        return shannon_entropy(self.p)
 
 
 def state_p(state) -> np.ndarray:
@@ -297,8 +296,7 @@ def record_from_json_dict(d: dict) -> MeasurementRecord:
         raise RecordFormatError(f"missing top-level field {exc}") from None
     if not isinstance(rows, list):
         raise RecordFormatError("'measurements' must be a list")
-    group = stabilizer_group(transformed_generators(graph, frame))
-    by_string = {str(s): k for k, s in enumerate(group)}
+    by_string = None  # built on the first 'pauli' row; 'k' rows need no group
     entries = {}
     for i, row in enumerate(rows):
         where = f"measurements[{i}]"
@@ -313,6 +311,9 @@ def record_from_json_dict(d: dict) -> MeasurementRecord:
             if not text:
                 raise RecordFormatError(f"{where}: empty 'pauli' string")
             key = text[1:] if text.startswith("+") else text
+            if by_string is None:
+                group = stabilizer_group(transformed_generators(graph, frame))
+                by_string = {str(s): k for k, s in enumerate(group)}
             k = by_string.get(key)
             if k is None:
                 raise RecordFormatError(
@@ -323,10 +324,13 @@ def record_from_json_dict(d: dict) -> MeasurementRecord:
             raise RecordFormatError(f"{where}: need either 'k' or 'pauli'")
         if k in entries:
             raise RecordFormatError(f"{where}: duplicate stabilizer index {k}")
+        shots = _row_number(row, "shots", where, int) if "shots" in row else None
+        if shots is not None and shots < 1:
+            raise RecordFormatError(f"{where}: 'shots' must be at least 1, got {row['shots']!r}")
         entries[k] = MeasurementEntry(
             value=_row_number(row, "value", where),
             sigma=_row_number(row, "sigma", where) if "sigma" in row else 0.0,
-            shots=_row_number(row, "shots", where, int) if "shots" in row else None,
+            shots=shots,
         )
     return MeasurementRecord(graph=graph, frame=frame, entries=entries)
 

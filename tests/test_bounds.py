@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stabverify import (
     GeneratorData,
@@ -13,6 +15,8 @@ from stabverify import (
     rel_entropy_min,
     robustness_min,
 )
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 def binary_entropy(p):
@@ -296,3 +300,38 @@ class TestBoundReport:
             GeneratorData(np.array([0.5, 1.5]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError):
             GeneratorData(np.array([0.5]), np.array([-0.1]))
+
+    def test_sigmas_pinned(self, table1):
+        # the per-sample evaluation's floats for seed 0 and 10 000 trials
+        a, sigma = table1
+        rep = bound_report(GeneratorData(a, sigma), 2, seed=0)
+        assert rep.f_min.sigma == 0.002394358744172848
+        assert rep.rg_min.sigma == 0.009577434976691392
+        assert rep.lrg_min.sigma == 0.00408562490635783
+        assert rep.er_min.sigma == 0.011051437912852582
+        assert rep.p_min.sigma == pytest.approx(0.003999506514639216, rel=1e-15, abs=0)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_stacked_bounds_match_rows(data):
+    n = data.draw(st.integers(1, 16))
+    rows = data.draw(st.integers(1, 64))
+    b_size = data.draw(st.integers(1, n))
+    x = data.draw(arrays(np.float64, (rows, n), elements=st.floats(-1.0, 1.0)))
+    for fn in (
+        fidelity_min,
+        purity_min,
+        lambda v: robustness_min(v, b_size),
+        lambda v: rel_entropy_min(v, b_size),
+    ):
+        assert np.array_equal(fn(x), np.array([fn(row) for row in x]))
+
+
+@PROPERTY_SETTINGS
+@given(a=st.integers(1, 12).flatmap(
+    lambda n: arrays(np.float64, n, elements=st.floats(-1.0, 1.0))))
+def test_purity_closed_form_matches_certified_minimizer(a):
+    sol = purity_min_solution(a)
+    assert sol.kkt_residual <= 1e-9
+    assert abs(purity_min(a) - float(sol.p @ sol.p)) <= 1e-12

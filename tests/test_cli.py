@@ -257,13 +257,23 @@ def _null_value_record():
     }
 
 
+def _full_group_record(**last_row):
+    rows = [{"k": "10", "value": 0.9, "sigma": 0.01},
+            {"k": "01", "value": 0.9, "sigma": 0.01},
+            {"k": "11", "value": 0.8, **last_row}]
+    return {"graph": {"n": 2, "edges": [[1, 2]]}, "measurements": rows}
+
+
 class TestMalformedDocuments:
-    # each used to crash with a TypeError traceback and exit 1
+    # each used to crash with a traceback and exit 1, or to parse
     @pytest.mark.parametrize("command", ["analyze", "robustness"])
     @pytest.mark.parametrize("doc,field", [
         ([1, 2], "JSON object"),
         ("p", "JSON object"),
         (_null_value_record(), "measurements[1]: 'value'"),
+        (_full_group_record(), "positive sigma"),
+        (_full_group_record(shots=0), "measurements[2]: 'shots'"),
+        (_full_group_record(sigma=0.01, shots=-5), "measurements[2]: 'shots'"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, field):
         f = tmp_path / "doc.json"
@@ -287,3 +297,37 @@ class TestMalformedDocuments:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestLargeGeneratorRecord:
+    # the bounds need only the n generator rows; no 2^n group or vector
+    N = 64
+
+    def write_record(self, tmp_path):
+        a = 0.9996 - 0.0004 * (np.arange(self.N) % 7)
+        rows = [{"k": "0" * i + "1" + "0" * (self.N - 1 - i), "value": v, "sigma": 0.002}
+                for i, v in enumerate(a)]
+        edges = [[i, i + 1] for i in range(1, self.N)]
+        f = tmp_path / "path64.json"
+        f.write_text(json.dumps({"graph": {"n": self.N, "edges": edges}, "measurements": rows}))
+        return f, a
+
+    def test_analyze_gives_closed_forms(self, tmp_path, capsys):
+        f, a = self.write_record(tmp_path)
+        code, rep, err = run_json(capsys, "analyze", str(f), "--trials", "1000")
+        assert code == 0, err
+        assert "ml" not in rep and "raw" not in rep
+        fid = (a.sum() - self.N + 2) / 2
+        q = (1 + a) / 2
+        entropy = -(q * np.log2(q) + (1 - q) * np.log2(1 - q)).sum()
+        bounds = rep["generator_bounds"]
+        assert bounds["f_min"]["value"] == pytest.approx(fid, rel=1e-12)
+        assert bounds["rg_min"]["value"] == pytest.approx(2.0 ** 32 * fid - 1, rel=1e-12)
+        assert bounds["er_min"]["value"] == pytest.approx(32 - entropy, rel=1e-12)
+
+    def test_robustness_exits_3(self, tmp_path, capsys):
+        f, _ = self.write_record(tmp_path)
+        code, out, err = run_cli(capsys, "robustness", str(f), "--format", "json")
+        assert code == 3
+        assert "full stabilizer group" in err
+        assert "Traceback" not in err
