@@ -73,8 +73,17 @@ def fidelity_min(a):
 
 
 def robustness_min(a, b_size: int):
-    """Worst-case global-robustness bound; b_size from two_coloring."""
-    return np.maximum(0.0, 2.0 ** b_size * fidelity_min(a) - 1.0)
+    """Worst-case global-robustness bound; b_size from two_coloring.
+
+    Raises OverflowError when 2^|B| F_min - 1 exceeds the largest double.
+    """
+    with np.errstate(over="ignore"):
+        r = np.maximum(0.0, np.ldexp(fidelity_min(a), b_size) - 1.0)
+    if not np.isfinite(r).all():
+        raise OverflowError(
+            f"rg_min = 2^{b_size} F_min - 1 is beyond the largest double (|B| = {b_size})"
+        )
+    return r
 
 
 def log_robustness(r: float) -> float:
@@ -145,7 +154,8 @@ def purity_min(a, n: int | None = None):
     f = fidelity_min(a)
     n = np.shape(a)[-1] if n is None else n
     f = np.maximum(f, 0.5 ** n)
-    return f * f + (1.0 - f) ** 2 / (2.0 ** n - 1.0)
+    # (1 - f)^2 / (2^n - 1) with the 2^-n applied last, so nothing overflows
+    return f * f + np.ldexp((1.0 - f) ** 2 / (1.0 - 0.5 ** n), -n)
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +177,16 @@ def propagate_errors(bound_fn, a, sigma, trials: int = 10_000, seed: int = 0):
     """
     vals = bound_fn(_samples(a, sigma, trials, seed))
     return {"mean": float(vals.mean()), "std": float(vals.std())}
+
+
+def _std(x) -> float:
+    """x.std() taken on x scaled into [-1, 1] by a power of 2.
+
+    The scaling is exact, so the result equals x.std() wherever that is
+    finite, but its squares cannot overflow when |x| is beyond 1e154.
+    """
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    return float(np.ldexp(np.ldexp(x, -e).std(), e))
 
 
 @dataclass(frozen=True)
@@ -209,7 +229,7 @@ def bound_report(
     return BoundReport(
         f_min=BoundValue(fidelity_min(data.a), float(fidelity_min(samples).std())),
         p_min=BoundValue(purity_min(data.a), float(purity_min(samples).std())),
-        rg_min=BoundValue(rg, float(rs.std())),
+        rg_min=BoundValue(rg, _std(rs)),
         lrg_min=BoundValue(log_robustness(rg), float(np.log2(1.0 + rs).std())),
         er_min=BoundValue(rel_entropy_min(data.a, b_size),
                           float(rel_entropy_min(samples, b_size).std())),

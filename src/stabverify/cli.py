@@ -7,7 +7,8 @@
 DATA is a measurement-record JSON file; bundled example datasets table1.json
 and table2.json resolve by name if no local file shadows them.  Exit codes:
 0 success, 2 malformed input, 3 robustness solve not possible or not
-converged (a partial report is still emitted).
+converged, or rg_min beyond the double range (a partial report is still
+emitted).
 """
 
 from __future__ import annotations
@@ -200,14 +201,21 @@ def cmd_analyze(args) -> int:
         if b_size is not None:
             report.add("ml", "er_lower", er_lower_from_state(state, b_size), "ml")
 
+    code = EXIT_OK
     if record.has_generators() and b_size is not None:
         a, s = record.generator_values()
-        rep = bound_report(GeneratorData(a, s), b_size, trials=args.trials, seed=args.seed)
-        for name in ("f_min", "p_min", "rg_min", "lrg_min", "er_min"):
-            bv = getattr(rep, name)
-            report.add("generator_bounds", name, bv.value, "generator-bound", sigma=bv.sigma)
+        try:
+            rep = bound_report(GeneratorData(a, s), b_size, trials=args.trials, seed=args.seed)
+        except OverflowError as exc:  # rg_min beyond the double range
+            print(f"error: {exc}", file=sys.stderr)
+            report.set_section("generator_bounds", {"error": str(exc)})
+            code = EXIT_SDP
+        else:
+            for name in ("f_min", "p_min", "rg_min", "lrg_min", "er_min"):
+                bv = getattr(rep, name)
+                report.add("generator_bounds", name, bv.value, "generator-bound",
+                           sigma=bv.sigma)
 
-    code = EXIT_OK
     partitions = _parse_partitions(args.partitions, record.n)
     if partitions:
         if state is None:
@@ -220,7 +228,7 @@ def cmd_analyze(args) -> int:
             code = EXIT_SDP
         else:
             code = _run_sdp(report, state, record.graph, record.frame,
-                            partitions, args.method)
+                            partitions, args.method) or code
     report.emit(args.format)
     return code
 

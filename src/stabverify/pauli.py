@@ -134,11 +134,15 @@ class Graph:
 
     n: int
     edges: frozenset[tuple[int, int]]
+    # vertex -> frozenset of its neighbors; derived from edges, so it takes
+    # no part in equality, hashing or JSON
+    _adjacency: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
+        adjacency = {}
         for e in self.edges:
             a, b = e
             if a == b:
@@ -146,7 +150,11 @@ class Graph:
             if not (1 <= a <= self.n and 1 <= b <= self.n):
                 raise ValueError(f"edge {e} outside vertex range 1..{self.n}")
             norm.add((min(a, b), max(a, b)))
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set()).add(a)
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "_adjacency",
+                           {v: frozenset(nb) for v, nb in adjacency.items()})
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -156,14 +164,8 @@ class Graph:
     def path(cls, n: int) -> "Graph":
         return cls.from_edges(n, [(a, a + 1) for a in range(1, n)])
 
-    def neighbors(self, a: int) -> set[int]:
-        out = set()
-        for u, v in self.edges:
-            if u == a:
-                out.add(v)
-            elif v == a:
-                out.add(u)
-        return out
+    def neighbors(self, a: int) -> frozenset[int]:
+        return self._adjacency.get(a, frozenset())
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +130,22 @@ class TestPurityMin:
     def test_uninformative_data_gives_mixed(self):
         assert abs(purity_min(np.zeros(3)) - 1 / 8) < 1e-12
 
+    def test_same_floats_as_direct_formula_below_1024(self):
+        # f^2 + (1 - f)^2 / (2^n - 1), as written before 2^n could overflow
+        a = np.random.default_rng(3).uniform(0.5, 1.0, (200, 4))
+        for n in range(1, 1024):
+            f = np.maximum(fidelity_min(a), 0.5 ** n)
+            assert np.array_equal(purity_min(a, n), f * f + (1.0 - f) ** 2 / (2.0 ** n - 1.0))
+
+    @pytest.mark.parametrize("n", [1024, 1075, 2100, 100_000])
+    def test_no_overflow_from_1024(self, n):
+        a = np.random.default_rng(3).uniform(0.5, 1.0, (200, 4))
+        f = fidelity_min(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = purity_min(a, n)
+        assert np.all(np.abs(p - f * f) <= 2.0 ** -1000)
+
 
 class TestRobustnessMin:
     def test_table1(self, table1):
@@ -148,6 +166,14 @@ class TestRobustnessMin:
 
     def test_clamps_at_zero(self):
         assert robustness_min(np.array([0.3, 0.3]), 1) == 0.0
+
+    def test_beyond_double_raises_naming_rg_min(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert robustness_min(np.ones(4), 1023) == 2.0 ** 1023
+            assert robustness_min(np.zeros(3), 5000) == 0.0
+            with pytest.raises(OverflowError, match="rg_min"):
+                robustness_min(np.ones(4), 1024)
 
 
 class TestRelEntropyMin:

@@ -331,3 +331,46 @@ class TestLargeGeneratorRecord:
         assert code == 3
         assert "full stabilizer group" in err
         assert "Traceback" not in err
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-finite number {token} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestHugeGeneratorRecord:
+    # 2^n and 2^|B| overflow a double from 1024 on; the bounds must not
+    def write_record(self, tmp_path, n):
+        rows = [{"k": "0" * i + "1" + "0" * (n - 1 - i), "value": 0.99999, "sigma": 0.002}
+                for i in range(n)]
+        edges = [[i, i + 1] for i in range(1, n)]
+        f = tmp_path / f"path{n}.json"
+        f.write_text(json.dumps({"graph": {"n": n, "edges": edges}, "measurements": rows}))
+        return f
+
+    def test_1100_qubits_analyze(self, tmp_path, capsys):
+        f = self.write_record(tmp_path, 1100)
+        code, out, err = run_cli(capsys, "analyze", str(f), "--trials", "1000",
+                                 "--format", "json")
+        assert code == 0, err
+        bounds = strict_json(out)["generator_bounds"]
+        fid = (1100 * 0.99999 - 1100 + 2) / 2
+        assert bounds["f_min"]["value"] == pytest.approx(fid, rel=1e-12)
+        assert bounds["p_min"]["value"] == pytest.approx(fid ** 2, rel=1e-12)
+        assert bounds["rg_min"]["value"] == pytest.approx(2.0 ** 550 * fid, rel=1e-12)
+        assert bounds["lrg_min"]["value"] == pytest.approx(550 + np.log2(fid), rel=1e-12)
+        assert 0 < bounds["rg_min"]["sigma"] < bounds["rg_min"]["value"]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_2100_qubits_rg_min_beyond_double_exits_3(self, tmp_path, capsys, fmt):
+        f = self.write_record(tmp_path, 2100)
+        code, out, err = run_cli(capsys, "analyze", str(f), "--trials", "1000",
+                                 "--format", fmt)
+        assert code == 3
+        assert "rg_min" in err
+        assert "Traceback" not in err
+        assert not re.search(r"inf|nan", out, re.IGNORECASE)
+        if fmt == "json":
+            assert "rg_min" in strict_json(out)["generator_bounds"]["error"]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from stabverify.kernels import fwht, pg_fit, simplex_project
 
@@ -12,7 +13,56 @@ def walsh_matrix(n):
     return 1.0 - 2.0 * (pop % 2)
 
 
+def butterfly(a):
+    """Radix-2 reference transform along the last axis, one level per pass."""
+    out = np.array(a, dtype=np.float64, copy=True)
+    *lead, size = out.shape
+    h = 1
+    while h < size:
+        out = out.reshape(*lead, -1, 2, h)
+        top = out[..., 0, :] + out[..., 1, :]
+        bot = out[..., 0, :] - out[..., 1, :]
+        out = np.stack((top, bot), axis=-2)
+        h *= 2
+    return out.reshape(*lead, size)
+
+
 class TestFwht:
+    # n = 1|2, 10|11 and 15|16 sit on either side of a change in the factor count
+    @pytest.mark.parametrize("n", range(17))
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "stack"])
+    def test_matches_butterfly(self, n, shape):
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, shape + (1 << n,))
+        tol = 1e-12 * 2.0 ** (n / 2) * np.abs(x).max()
+        assert np.max(np.abs(fwht(x) - butterfly(x))) <= tol
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_stack_equals_rows_exactly(self, n):
+        x = np.random.default_rng(100 + n).uniform(-1.0, 1.0, (3, 1 << n))
+        assert np.array_equal(fwht(x), np.array([fwht(row) for row in x]))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "stack"])
+    def test_leaves_input_alone(self, n, shape):
+        x = np.random.default_rng(n).standard_normal(shape + (1 << n,))
+        before = x.copy()
+        y = fwht(x)
+        assert np.array_equal(x, before)
+        assert y.dtype == np.float64 and y.shape == x.shape
+        assert not np.shares_memory(x, y)
+
+    def test_list_and_int_inputs(self):
+        assert np.array_equal(fwht([1, 2, 3, 4]), [10.0, -2.0, -4.0, 0.0])
+        assert np.array_equal(fwht([5]), [5.0])
+        y = fwht(np.arange(8))
+        assert y.dtype == np.float64
+        assert np.array_equal(y, butterfly(np.arange(8)))
+
+    @pytest.mark.parametrize("a", [[], [1.0, 2.0, 3.0], np.zeros((2, 6)), 1.0])
+    def test_rejects_length_not_a_power_of_two(self, a):
+        with pytest.raises(ValueError, match="power-of-2"):
+            fwht(a)
+
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(0)
         for n in range(1, 7):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabverify import (
     Graph,
@@ -227,6 +228,24 @@ class TestGraph:
     def test_json_roundtrip(self, paper6):
         graph, _ = paper6
         assert graph_from_json(graph_to_json(graph)) == graph
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_neighbors_match_edge_scan(self, data):
+        n = data.draw(st.integers(1, 12))
+        vertex = st.integers(1, n)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                                   max_size=3 * n))
+        g = Graph.from_edges(n, pairs)
+        for a in range(0, n + 2):
+            scan = {v for u, v in g.edges if u == a} | {u for u, v in g.edges if v == a}
+            assert g.neighbors(a) == scan
+        # the adjacency is derived state: equality, hashing, repr and JSON ignore it
+        flipped = Graph.from_edges(n, [(b, a) for a, b in reversed(pairs)])
+        assert flipped == g and hash(flipped) == hash(g)
+        assert repr(g) == f"Graph(n={n}, edges={g.edges!r})"
+        assert graph_to_json(g) == graph_to_json(flipped)
+        assert graph_from_json(graph_to_json(g)) == g
 
 
 class TestTwoColoring:
