@@ -2,13 +2,14 @@
 
     stabverify analyze DATA [--trials N] [--seed S] [--partitions ...] ...
     stabverify simulate --graph path:4 --noise z=0.02 --shots 100000 --out f.json
-    stabverify robustness INPUT [--partitions all] [--method auto|dense|reduced]
+    stabverify robustness INPUT [--partitions all] [--method dense|reduced]
 
 DATA is a measurement-record JSON file; bundled example datasets table1.json
 and table2.json resolve by name if no local file shadows them.  Exit codes:
-0 success, 2 malformed input, 3 robustness solve not possible or not
-converged, or rg_min beyond the double range (a partial report is still
-emitted).
+0 success, 2 malformed input (including a bad --partitions entry), 3
+robustness solve not possible (no full group, or more qubits than the
+solver path's cap: 6 for dense, 12 for reduced) or not converged, or rg_min
+beyond the double range (a partial report is still emitted).
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .reconstruct import (
     record_from_json_dict,
     save_record,
 )
-from .sdp import all_bipartitions, ppt_robustness, RobustnessProblem, symmetry_reduced_robustness
+from .sdp import (all_bipartitions, canonical_partitions, check_solver_size, ppt_robustness,
+                  RobustnessProblem, symmetry_reduced_robustness)
 from .simulate import NoiseModel, apply_noise, exact_expectations, generator_indices, sample_record
 from .solver import SdpConvergenceError
 
@@ -148,14 +150,20 @@ def _parse_noise(specs, n: int) -> NoiseModel:
 
 
 def _parse_partitions(specs, n: int):
+    """Canonical partitions from --partitions entries (None if not given)."""
     if specs is None:
         return None
     out = []
     for spec in specs:
         if spec == "all":
             return all_bipartitions(n)
-        out.append(tuple(int(tok) for tok in spec.split(",") if tok.strip()))
-    return out
+        try:
+            out.append(tuple(int(tok) for tok in spec.split(",") if tok.strip()))
+        except ValueError:
+            raise ValueError(
+                f"--partitions {spec!r}: expected 'all' or comma-separated qubit numbers"
+            ) from None
+    return canonical_partitions(n, out)
 
 
 def _input_digest(record: MeasurementRecord, path: str) -> dict:
@@ -177,6 +185,7 @@ def cmd_analyze(args) -> int:
     try:
         path = _resolve_data_path(args.data)
         record = load_record(path)
+        partitions = _parse_partitions(args.partitions, record.n)
         state = ml_fit(record) if record.has_full_group() else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -216,7 +225,6 @@ def cmd_analyze(args) -> int:
                 report.add("generator_bounds", name, bv.value, "generator-bound",
                            sigma=bv.sigma)
 
-    partitions = _parse_partitions(args.partitions, record.n)
     if partitions:
         if state is None:
             report.set_section(
@@ -236,6 +244,7 @@ def cmd_analyze(args) -> int:
 def _run_sdp(report: Report, state: GraphDiagonalState, graph, frame,
              partitions, method: str) -> int:
     try:
+        check_solver_size(graph.n, method)  # before rho is built
         if method == "dense":
             from .operators import graph_diagonal_operator
 
@@ -254,6 +263,10 @@ def _run_sdp(report: Report, state: GraphDiagonalState, graph, frame,
             partial["best_objective"] = exc.result.objective
             partial["best_gap"] = exc.result.gap
         report.set_section("sdp", partial)
+        return EXIT_SDP
+    except ValueError as exc:  # beyond a size cap, or a request the path refuses
+        print(f"error: {exc}", file=sys.stderr)
+        report.set_section("sdp", {"error": str(exc)})
         return EXIT_SDP
 
 
@@ -323,11 +336,11 @@ def cmd_robustness(args) -> int:
                 )
                 return EXIT_SDP
             state = ml_fit(record)
+        partitions = _parse_partitions(args.partitions, graph.n) or all_bipartitions(graph.n)
     except (ValueError, RecordFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    partitions = _parse_partitions(args.partitions, graph.n) or all_bipartitions(graph.n)
     report.set_section("input", {
         "path": args.input, "n": graph.n,
         "partitions": [list(t) for t in partitions],

@@ -126,7 +126,7 @@ class GraphDiagonalState:
         if p.min() < -1e-10:
             raise ValueError(f"negative population {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError(f"populations sum to {p.sum()!r}, not 1")
+            raise ValueError(f"populations sum to {float(p.sum())!r}, not 1")
         object.__setattr__(self, "p", p)
 
     @property
@@ -264,9 +264,9 @@ def fit_objective(record: MeasurementRecord, p) -> float:
 
 
 def _index_from_kstring(ks: str, n: int) -> int:
-    if len(ks) != n or any(c not in "01" for c in ks):
+    if len(ks) != n or not set(ks) <= {"0", "1"}:
         raise RecordFormatError(f"bad stabilizer index string {ks!r} for n={n}")
-    return sum((1 << a) for a, c in enumerate(ks) if c == "1")
+    return int(ks[::-1], 2)  # character a is bit a
 
 
 def _kstring_from_index(k: int, n: int) -> str:

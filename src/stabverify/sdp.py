@@ -19,16 +19,19 @@ Two paths:
     be sought among graph-diagonal sigma (stabilizer twirling preserves
     feasibility and the objective), where every partial transpose is again
     diagonal in the graph basis.  The program collapses to a linear program
-    in the 2^n diagonal weights, and it is solved and certified on weight
-    vectors only.  With H the 2^n x 2^n Walsh matrix and eps_T the sign each
-    stabilizer element picks up under the partial transpose over T, the
-    spectrum of the transposed operator with weights v is exactly
+    in the 2^n diagonal weights x of sigma, and it is solved and certified
+    on weight vectors only.  With H the 2^n x 2^n Walsh matrix and eps_T the
+    sign each stabilizer element picks up under the partial transpose over
+    T, the spectrum of the transposed operator with weights v is exactly
 
-        M_T v = H (eps_T * H v) / 2^n        (two fast Walsh transforms),
+        M_T v = H (eps_T * H v) / 2^n        (two fast Walsh transforms).
 
-    so feasibility and the rescaled dual bound are checked entrywise on
-    vectors; no dense operator is built unless a caller reads
-    ``SdpSolution.sigma`` or ``.dual_certificate``.
+    The LP is posed in u = H x: the objective tr(sigma) is u_0, each cut's
+    slack is M_T p + H (eps_T * u) / 2^n, and x >= 0 is the row T = {}
+    (eps = 1, offset 0) of the same orthant block.  Feasibility and the
+    rescaled dual bound are checked entrywise on vectors; no dense operator
+    is built unless a caller reads ``SdpSolution.sigma`` or
+    ``.dual_certificate``.
 """
 
 from __future__ import annotations
@@ -46,10 +49,9 @@ from .operators import (
     partial_transpose,
     trace_inner,
 )
-from .pauli import Graph, LocalFrame, stabilizer_group, transformed_generators
+from .pauli import Graph, LocalFrame, transformed_generators
 from .reconstruct import state_p
 from .solver import (
-    LpBlock,
     SdpBlock,
     SdpConvergenceError,
     real_embed,
@@ -58,6 +60,7 @@ from .solver import (
 )
 
 MAX_DENSE_DIM = 64
+MAX_REDUCED_DIM = 4096
 PSD_FLOOR = -1e-8
 GAP_BOUND = 1e-6
 
@@ -73,17 +76,26 @@ def all_bipartitions(n: int) -> list[tuple[int, ...]]:
 
 def canonical_partitions(n: int, partitions) -> list[tuple[int, ...]]:
     full = set(range(1, n + 1))
-    seen = []
+    seen = {}
     for part in partitions:
         s = set(part)
         if not s or s == full or not s <= full:
-            raise ValueError(f"partition {sorted(s)} is not a proper nonempty subset")
+            raise ValueError(f"partition {sorted(s)} is not a proper nonempty subset of 1..{n}")
         if 1 not in s:
             s = full - s
-        t = tuple(sorted(s))
-        if t not in seen:
-            seen.append(t)
-    return seen
+        seen[tuple(sorted(s))] = None
+    return list(seen)
+
+
+def check_solver_size(n: int, method: str) -> None:
+    """Refuse, with a ValueError, an n-qubit state beyond the cap of the
+    ``"dense"`` or ``"reduced"`` path, before that path allocates anything."""
+    cap = MAX_DENSE_DIM if method == "dense" else MAX_REDUCED_DIM
+    if 1 << n > cap:
+        raise ValueError(
+            f"the {method} robustness path is capped at dimension {cap} "
+            f"({cap.bit_length() - 1} qubits); this state has {n} qubits"
+        )
 
 
 @dataclass(frozen=True)
@@ -270,13 +282,9 @@ def ppt_robustness(
     max_iter: int = 200,
 ) -> SdpSolution:
     """Dense-path PPT robustness with a verified dual certificate."""
+    check_solver_size(problem.n, "dense")
     rho = problem.rho
     d = rho.shape[0]
-    if d > MAX_DENSE_DIM:
-        raise ValueError(
-            f"dense path capped at dimension {MAX_DENSE_DIM}; "
-            "use symmetry_reduced_robustness for graph-diagonal states"
-        )
     _check_density(rho)
     partitions = problem.partitions
     if not partitions:
@@ -323,12 +331,15 @@ def _parity_signs(tmask, masks) -> np.ndarray:
 
 def _cut_masks(graph: Graph, frame: LocalFrame, partitions):
     """Y-factor mask of each stabilizer element (in group-index order) and
-    qubit mask of each partition, as int64 arrays."""
-    group = stabilizer_group(transformed_generators(graph, frame))
-    ymask = np.array([s.x & s.z for s in group], dtype=np.int64)
+    qubit mask of each partition, as int64 arrays.  Element k's X and Z masks
+    are the XORs of those of the generators over the set bits of k."""
+    xs = zs = np.zeros(1, dtype=np.int64)
+    for g in transformed_generators(graph, frame):
+        xs = np.concatenate((xs, xs ^ g.x))
+        zs = np.concatenate((zs, zs ^ g.z))
     tmask = np.array([sum(1 << (q - 1) for q in part) for part in partitions],
                      dtype=np.int64)
-    return ymask, tmask
+    return xs & zs, tmask
 
 
 def _cut_products(signs, v) -> np.ndarray:
@@ -345,9 +356,10 @@ def _cut_adjoint(signs, z) -> np.ndarray:
 
 
 class CutBlock:
-    """All partitions' constraints (rho + sigma)^Gamma_T >= 0 as one orthant
-    block of the LP in sigma's weights x: x -> stack_T M_T (p + x), with
-    g0 = stack_T M_T p.  Applied by Walsh transforms; no M_T is ever formed.
+    """The LP's one orthant block, in u = H x for sigma's weights x: row T is
+    M_T p + H (eps_T * u) / 2^n = spectrum of (rho + sigma)^Gamma_T, and row 0
+    is T = {} (eps = 1, offset 0), which is x itself.  Applied by one Walsh
+    transform per row; no M_T is ever formed.
 
     ymask holds the Y-factor mask of each stabilizer element, tmask the qubit
     mask of each partition (see ``_cut_masks``), p the weights of rho.
@@ -358,36 +370,38 @@ class CutBlock:
     def __init__(self, ymask: np.ndarray, tmask: np.ndarray, p: np.ndarray):
         dim = ymask.size
         idx = np.arange(dim)
+        tmask = np.concatenate(([0], tmask))
         self.signs = _parity_signs(tmask, ymask)
         self._chars = _parity_signs(tmask, idx)
         self._gather = ((ymask[:, None] ^ ymask[None, :]) * dim
                         + (idx[:, None] ^ idx[None, :]))
-        self.g0 = _cut_products(self.signs, p).ravel()
+        g0 = np.zeros(self.signs.shape)
+        g0[1:] = _cut_products(self.signs[1:], p)
+        self.g0 = g0.ravel()
         self.size = self.g0.size
 
-    def slack(self, x):
-        return self.g0 + self.apply(x)
+    def slack(self, u):
+        return self.g0 + self.apply(u)
 
-    def apply(self, dx):
-        return _cut_products(self.signs, dx).ravel()
+    def apply(self, du):
+        return kernels.fwht(self.signs * du).ravel() / du.size
 
     def adjoint(self, z):
-        return _cut_adjoint(self.signs, np.reshape(z, self.signs.shape))
+        z = np.reshape(z, self.signs.shape)
+        return (self.signs * kernels.fwht(z)).sum(axis=0) / z.shape[1]
 
     def schur(self, d):
-        """sum_T M_T diag(d_T) M_T = H inner H / 4^n, where
+        """sum_T A_T' diag(d_T) A_T with A_T = H diag(eps_T) / 2^n, that is
 
-            inner_ij = sum_T eps_T[i] eps_T[j] fwht(d_T)[i ^ j]
-                     = g[y_i ^ y_j, i ^ j],  g[a, k] = sum_T (-1)^{a.t_T} fwht(d_T)[k],
+            [sum_T eps_T[i] eps_T[j] fwht(d_T)[i ^ j]]_ij / 4^n
+                = g[y_i ^ y_j, i ^ j] / 4^n,  g[a, k] = sum_T (-1)^{a.t_T} fwht(d_T)[k],
 
         by H diag(f) H = [fwht(f)[i ^ j]]_ij and eps_T[i] eps_T[j] =
-        (-1)^{(y_i ^ y_j).t_T}.
+        (-1)^{(y_i ^ y_j).t_T}.  The gather is exactly symmetric.
         """
         dim = self.signs.shape[1]
         g = self._chars.T @ kernels.fwht(np.reshape(d, self.signs.shape))
-        inner = g.ravel()[self._gather]
-        # inner is symmetric, so transforming rows twice gives H inner H
-        return kernels.fwht(kernels.fwht(inner).T) / dim ** 2
+        return g.ravel()[self._gather] / dim ** 2
 
 
 def _graph_diagonal_operators(sigma_weights, certificate_weights, graph, frame):
@@ -460,6 +474,7 @@ def symmetry_reduced_robustness(
     n = graph.n
     if p.size != 1 << n:
         raise ValueError("population vector length must be 2^n")
+    check_solver_size(n, "reduced")
     if p.min() < -1e-10 or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("state must be a physical population vector")
     frame = frame or LocalFrame.identity(n)
@@ -470,15 +485,17 @@ def symmetry_reduced_robustness(
         raise ValueError("need at least one partition")
     D = 1 << n
     cuts = CutBlock(*_cut_masks(graph, frame, partitions), p)
-    offsets = cuts.g0.reshape(cuts.signs.shape)  # row T: spectrum of rho^Gamma_T
+    offsets = cuts.g0.reshape(cuts.signs.shape)[1:]  # row T: spectrum of rho^Gamma_T
     low = float(offsets.min())
     if low >= -1e-12:
         return _trivial_solution(D, partitions, [float(b.min()) for b in offsets], "reduced")
 
-    blocks = [LpBlock(np.zeros(D), np.eye(D)), cuts]
-    x0 = np.full(D, 0.5 + 2.0 * max(0.0, -low))
-    res = solve_conic(np.ones(D), blocks, x0, gap_tol=gap_tol, max_iter=max_iter)
+    c = np.zeros(D)
+    c[0] = 1.0  # tr(sigma) = sum(x) = u_0; x0 = t0 * ones is u0 = D t0 e_0
+    u0 = D * (0.5 + 2.0 * max(0.0, -low)) * c
+    res = solve_conic(c, [cuts], u0, gap_tol=gap_tol, max_iter=max_iter)
+    x = kernels.fwht(res.x) / D
     return _certify_weights(
-        p, np.maximum(res.x, 0.0), res.duals[1].reshape(cuts.signs.shape),
-        cuts.signs, partitions, res.iterations, graph, frame,
+        p, np.maximum(x, 0.0), res.duals[0].reshape(cuts.signs.shape)[1:],
+        cuts.signs[1:], partitions, res.iterations, graph, frame,
     )

@@ -7,8 +7,10 @@
 Mehrotra predictor-corrector with Nesterov-Todd scaling.  Complex Hermitian
 constraints enter through their real symmetric embedding (``real_embed``),
 which doubles the block size and the eigenvalue multiplicities but keeps all
-solver arithmetic real.  Block eigendecompositions use LAPACK ``eigh``; the
-Schur system is solved by Cholesky factorization.
+solver arithmetic real.  Block eigendecompositions use LAPACK ``eigh``.  A
+Cholesky factorization checks that the Schur matrix is positive definite;
+each Newton system is then solved by ``np.linalg.solve`` (numpy has no
+triangular solve).
 
 Step control: fraction-to-boundary 0.98, at most 200 iterations, relative
 complementarity-gap target 1e-7 by default.
@@ -45,7 +47,12 @@ def real_unembed(s: np.ndarray) -> np.ndarray:
 
 
 class SdpBlock:
-    """Affine map x -> F0 + sum_i x_i F[i] into symmetric matrices."""
+    """Affine map x -> F0 + sum_i x_i F[i] into symmetric matrices.
+
+    An orthant block (``kind = "lp"``) is any object with ``size``,
+    ``slack``, ``apply``, ``adjoint`` and ``schur(d)``, the block's term
+    G' diag(d) G of the Schur matrix; ``sdp.CutBlock`` is one.
+    """
 
     kind = "sdp"
 
@@ -62,35 +69,6 @@ class SdpBlock:
 
     def adjoint(self, Z):
         return np.tensordot(self.F, Z, axes=([1, 2], [0, 1]))
-
-
-class LpBlock:
-    """Affine map x -> g0 + G x into the nonnegative orthant.
-
-    ``solve_conic`` uses an orthant block only through ``slack``, ``apply``,
-    ``adjoint`` and ``schur``, so a matrix-free block with these methods (and
-    ``kind``, ``size``) can stand in for one.
-    """
-
-    kind = "lp"
-
-    def __init__(self, g0: np.ndarray, G: np.ndarray):
-        self.g0 = g0
-        self.G = G
-        self.size = g0.size
-
-    def slack(self, x):
-        return self.g0 + self.G @ x
-
-    def apply(self, dx):
-        return self.G @ dx
-
-    def adjoint(self, z):
-        return self.G.T @ z
-
-    def schur(self, d):
-        """The block's Schur-complement term G' diag(d) G."""
-        return (self.G.T * d) @ self.G
 
 
 @dataclass
@@ -115,10 +93,9 @@ def _max_step_diag_scaled(lam, D):
 
 
 def _max_step_pos(s, ds):
-    neg = ds < 0
-    if not neg.any():
-        return np.inf
-    return float(np.min(-s[neg] / ds[neg]))
+    """sup alpha with s + alpha ds >= 0 (s > 0 elementwise)."""
+    steps = np.divide(-s, ds, out=np.full(s.shape, np.inf), where=ds < 0)
+    return float(steps.min())
 
 
 def solve_conic(
@@ -161,7 +138,9 @@ def solve_conic(
             return result
         mu = gap / nu
 
-        # NT scaling per block: factor R with W = R R', scaled point diagonal
+        # NT scaling per block: the scaled point lam is diagonal.  An SDP
+        # block keeps Ri (W^-1 = Ri' Ri, ds = Ri dS Ri'), an orthant block
+        # w (W = diag(w)^2, ds = dS / w).
         scal = []
         H = np.zeros((c.size, c.size))
         for j, b in enumerate(blocks):
@@ -169,89 +148,76 @@ def solve_conic(
                 wz, Uz = np.linalg.eigh(Z[j])
                 wz = np.maximum(wz, 1e-300)
                 Zh = (Uz * np.sqrt(wz)) @ Uz.T
-                Zhi = (Uz / np.sqrt(wz)) @ Uz.T
                 M = Zh @ S[j] @ Zh
                 wm, Um = np.linalg.eigh((M + M.T) / 2.0)
                 wm = np.maximum(wm, 1e-300)
-                R = Zhi @ (Um * wm ** 0.25)
                 Ri = (Um * wm ** -0.25).T @ Zh
-                lam = np.sqrt(wm)
                 Winv = Ri.T @ Ri
                 G = np.matmul(np.matmul(Winv[None], b.F), Winv[None])
                 H += np.tensordot(b.F, G, axes=([1, 2], [1, 2]))
-                scal.append((R, Ri, lam))
+                scal.append((Ri, np.sqrt(wm)))
             else:
                 s, z = S[j], Z[j]
                 w = np.sqrt(s / z)
-                lam = np.sqrt(s * z)
                 H += b.schur(1.0 / w ** 2)
-                scal.append((w, None, lam))
-        H = (H + H.T) / 2.0
+                scal.append((w, np.sqrt(s * z)))
+        H += H.T
+        H *= 0.5
+        H.flat[::c.size + 1] += 1e-14 * np.trace(H) / c.size
         try:
-            L = np.linalg.cholesky(H + 1e-14 * np.trace(H) / c.size * np.eye(c.size))
+            np.linalg.cholesky(H)  # the positive-definiteness check
         except np.linalg.LinAlgError:
             raise SdpConvergenceError(
                 f"Schur system not positive definite at iteration {it}", best
             ) from None
 
-        def schur_solve(rhs):
-            y = np.linalg.solve(L, rhs)
-            return np.linalg.solve(L.T, y)
-
         def directions(sig, corr):
             """Newton direction; corr is the affine (ds, dz) list or None."""
+            Ks = []  # scaled complementarity target of each block
+            for j, b in enumerate(blocks):
+                lam = scal[j][1]
+                if corr is None:
+                    Ks.append(-np.diag(lam) if b.kind == "sdp" else -lam)
+                elif b.kind == "sdp":
+                    dsa, dza = corr[j]
+                    Cm = (dsa @ dza + dza @ dsa) / 2.0
+                    Rm = sig * mu * np.eye(b.size) - np.diag(lam ** 2) - Cm
+                    Ks.append(2.0 * Rm / (lam[:, None] + lam[None, :]))
+                else:
+                    dsa, dza = corr[j]
+                    Ks.append((sig * mu - lam ** 2 - dsa * dza) / lam)
             if corr is None:
-                rhs = -c.copy()  # A*(W^{-1/2}(-lam)W^{-1/2}) - rd = -c
+                rhs = -c  # A*(W^{-1/2}(-lam)W^{-1/2}) - rd = -c
             else:
-                rhs = -rd.copy()
+                rhs = -rd
                 for j, b in enumerate(blocks):
+                    W, K = scal[j][0], Ks[j]
                     if b.kind == "sdp":
-                        R, Ri, lam = scal[j]
-                        dsa, dza = corr[j]
-                        Cm = (dsa @ dza + dza @ dsa) / 2.0
-                        Rm = sig * mu * np.eye(b.size) - np.diag(lam ** 2) - Cm
-                        K = 2.0 * Rm / (lam[:, None] + lam[None, :])
-                        T = Ri.T @ K @ Ri
+                        T = W.T @ K @ W
                         rhs += b.adjoint((T + T.T) / 2.0)
                     else:
-                        w, _, lam = scal[j]
-                        dsa, dza = corr[j]
-                        K = (sig * mu - lam ** 2 - dsa * dza) / lam
-                        rhs += b.adjoint(K / w)
-            dx = schur_solve(rhs)
+                        rhs += b.adjoint(K / W)
+            dx = np.linalg.solve(H, rhs)
             out = []
             for j, b in enumerate(blocks):
+                W, K = scal[j][0], Ks[j]
                 dS = b.apply(dx)
                 if b.kind == "sdp":
-                    R, Ri, lam = scal[j]
-                    ds = Ri @ dS @ Ri.T
+                    ds = W @ dS @ W.T
                     ds = (ds + ds.T) / 2.0
-                    if corr is None:
-                        K = -np.diag(lam)
-                    else:
-                        dsa, dza = corr[j]
-                        Cm = (dsa @ dza + dza @ dsa) / 2.0
-                        Rm = sig * mu * np.eye(b.size) - np.diag(lam ** 2) - Cm
-                        K = 2.0 * Rm / (lam[:, None] + lam[None, :])
                     dz = K - ds
-                    dZ = Ri.T @ dz @ Ri
+                    dZ = W.T @ dz @ W
                     out.append((dS, (dZ + dZ.T) / 2.0, ds, dz))
                 else:
-                    w, _, lam = scal[j]
-                    ds = dS / w
-                    if corr is None:
-                        K = -lam
-                    else:
-                        dsa, dza = corr[j]
-                        K = (sig * mu - lam ** 2 - dsa * dza) / lam
+                    ds = dS / W
                     dz = K - ds
-                    out.append((dS, dz / w, ds, dz))
+                    out.append((dS, dz / W, ds, dz))
             return dx, out
 
         def boundary_steps(dirs):
             ap = ad = np.inf
             for j, b in enumerate(blocks):
-                lam = scal[j][2]
+                lam = scal[j][1]
                 if b.kind == "sdp":
                     ap = min(ap, _max_step_diag_scaled(lam, dirs[j][2]))
                     ad = min(ad, _max_step_diag_scaled(lam, dirs[j][3]))

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stabverify
 from stabverify.cli import Report, main
 
 
@@ -297,6 +302,79 @@ class TestMalformedDocuments:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+class TestPartitionsInput:
+    # each used to exit 1 with a ValueError traceback
+    @pytest.fixture(scope="class")
+    def record4(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("rec") / "full4.json"
+        assert main(["simulate", "--graph", "path:4", "--noise", "z=0.03",
+                     "--shots", "2000", "--seed", "1", "--out", str(out)]) == 0
+        return str(out)
+
+    @pytest.mark.parametrize("command", ["analyze", "robustness"])
+    @pytest.mark.parametrize("spec,named", [
+        ("1,x", "'1,x'"),
+        ("1,2,3,4", "[1, 2, 3, 4]"),
+        ("9", "[9]"),
+    ])
+    def test_bad_entry_exits_2_naming_it(self, record4, capsys, command, spec, named):
+        capsys.readouterr()  # drop what the fixture's simulate printed
+        code, out, err = run_cli(capsys, command, record4, "--partitions", spec,
+                                 "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_population_sum_printed_as_a_number(self, tmp_path, capsys):
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({"graph": {"n": 2, "edges": [[1, 2]]},
+                                 "p": [0.4, 0.1, 0.1, 0.1]}))
+        code, out, err = run_cli(capsys, "robustness", str(f))
+        assert code == 2
+        assert "populations sum to 0.7" in err
+        assert "np." not in err
+
+
+class TestSolverCaps:
+    def write_state(self, tmp_path, n):
+        p = [0.9] + [0.1 / ((1 << n) - 1)] * ((1 << n) - 1)
+        edges = [[i, i + 1] for i in range(1, n)]
+        f = tmp_path / f"state{n}.json"
+        f.write_text(json.dumps({"graph": {"n": n, "edges": edges}, "p": p}))
+        return str(f)
+
+    @pytest.mark.parametrize("n,method,cap", [(7, "dense", 64), (13, "reduced", 4096)])
+    def test_beyond_cap_exits_3(self, tmp_path, capsys, n, method, cap):
+        f = self.write_state(tmp_path, n)
+        code, out, err = run_cli(capsys, "robustness", f, "--method", method,
+                                 "--format", "json")
+        assert code == 3
+        assert err.startswith("error:") and f"capped at dimension {cap}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "capped" in strict_json(out)["sdp"]["error"]
+
+    def test_dense_cap_in_analyze(self, tmp_path, capsys):
+        out = tmp_path / "full7.json"
+        run_cli(capsys, "simulate", "--graph", "path:7", "--noise", "z=0.05",
+                "--shots", "1000", "--seed", "2", "--out", str(out))
+        code, rep, err = run_json(capsys, "analyze", str(out), "--partitions", "1",
+                                  "--method", "dense", "--trials", "1000")
+        assert code == 3
+        assert "capped" in err and "capped" in rep["sdp"]["error"]
+        assert "ml" in rep  # partial report still emitted
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency: importing the CLI must not pull it in
+    probe = ("import sys, stabverify.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(stabverify.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestLargeGeneratorRecord:

@@ -283,6 +283,14 @@ class TestRecordValidation:
                 entries={9: MeasurementEntry(0.5, 0.1)},
             )
 
+    @pytest.mark.parametrize("ks", ["1_0", " 10", "10 ", "+10", "0b1", "1", "1000", "10\u0661"])
+    def test_k_string_rejects_what_int_would_accept(self, ks):
+        # int(..., 2) reads underscores, spaces, signs, prefixes and Unicode digits
+        d = {"graph": {"n": 3, "edges": [[1, 2], [2, 3]]},
+             "measurements": [{"k": ks, "value": 0.9}]}
+        with pytest.raises(RecordFormatError, match="bad stabilizer index string"):
+            record_from_json_dict(d)
+
 
 class TestRecordJson:
     def test_pauli_and_k_keys_equivalent(self, paper4):

@@ -15,7 +15,7 @@ from stabverify import (
     symmetry_reduced_robustness,
 )
 from stabverify.sdp import canonical_partitions
-from stabverify.solver import LpBlock, SdpBlock, solve_conic
+from stabverify.solver import SdpBlock, solve_conic
 
 
 def bell_density():
@@ -41,7 +41,7 @@ class TestSolverCore:
     def test_tiny_lp(self):
         # min x s.t. x >= 1  ->  1
         c = np.ones(1)
-        blocks = [LpBlock(np.array([-1.0]), np.eye(1))]
+        blocks = [SdpBlock(np.array([[-1.0]]), np.array([[[1.0]]]))]
         res = solve_conic(c, blocks, np.array([2.0]))
         assert res.converged
         assert abs(res.objective - 1.0) < 1e-6
@@ -75,7 +75,7 @@ class TestSolverCore:
 
     def test_nonconvergence_raises_with_best_iterate(self):
         c = np.ones(1)
-        blocks = [LpBlock(np.array([-1.0]), np.eye(1))]
+        blocks = [SdpBlock(np.array([[-1.0]]), np.array([[[1.0]]]))]
         with pytest.raises(SdpConvergenceError) as ei:
             solve_conic(c, blocks, np.array([2.0]), max_iter=1)
         assert ei.value.result is not None

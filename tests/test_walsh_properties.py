@@ -3,15 +3,23 @@
 ``fwht`` transforms a vector or each row of a stack, the same either way, and
 applying it twice multiplies by 2^n.  For a graph-diagonal operator with weights v, the partial transpose over T is
 again graph-diagonal with weights M_T v = H (eps_T * H v) / 2^n.  These tests
-check that identity, and the LP block built on it, against dense operators
-over random graphs, local frames and weights at n <= 4.
+check that identity, and the LP block built on it in u = H x, against dense
+operators over random graphs, local frames and weights at n <= 4, and the
+numpy stabilizer Y masks against the group itself at n <= 6.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stabverify import Graph, LocalFrame, graph_diagonal_operator, partial_transpose
+from stabverify import (
+    Graph,
+    LocalFrame,
+    graph_diagonal_operator,
+    partial_transpose,
+    stabilizer_group,
+    transformed_generators,
+)
 from stabverify.kernels import fwht
 from stabverify.sdp import CutBlock, _cut_masks, all_bipartitions
 
@@ -77,7 +85,9 @@ def test_cut_spectrum_matches_dense_partial_transpose(data):
     partitions = all_bipartitions(graph.n)
     block = CutBlock(*_cut_masks(graph, frame, partitions), v)
     rho = graph_diagonal_operator(v, graph, frame)
-    for part, spectrum in zip(partitions, block.g0.reshape(len(partitions), -1)):
+    offsets = block.g0.reshape(1 + len(partitions), -1)
+    assert np.array_equal(offsets[0], np.zeros(1 << graph.n))  # row T = {}: x >= 0
+    for part, spectrum in zip(partitions, offsets[1:]):
         dense = np.linalg.eigvalsh(partial_transpose(rho, part))
         assert np.max(np.abs(np.sort(spectrum) - dense)) <= 1e-12
 
@@ -85,25 +95,54 @@ def test_cut_spectrum_matches_dense_partial_transpose(data):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_cut_block_matches_dense_products(data):
+    # the block acts on u = H x; row T = {} has M = I and offset 0, so with
+    # A_T = M_T H / 2^n its rows are g0_T + A_T u = M_T p + M_T x and x
     graph, frame = data.draw(graphs_and_frames())
     n, dim = graph.n, 1 << graph.n
     partitions = all_bipartitions(n)
+    rows = 1 + len(partitions)
     p = data.draw(weights(n))
     x = data.draw(weights(n))
-    z = data.draw(arrays(np.float64, len(partitions) * dim,
-                         elements=st.floats(-1.0, 1.0)))
-    d = data.draw(arrays(np.float64, len(partitions) * dim,
-                         elements=st.floats(1e-3, 1e3)))
+    z = data.draw(arrays(np.float64, rows * dim, elements=st.floats(-1.0, 1.0)))
+    d = data.draw(arrays(np.float64, rows * dim, elements=st.floats(1e-3, 1e3)))
     block = CutBlock(*_cut_masks(graph, frame, partitions), p)
-    mats = dense_cut_matrices(graph, frame, partitions)
+    mats = [np.eye(dim)] + dense_cut_matrices(graph, frame, partitions)
+    walsh = fwht(np.eye(dim))
+    lifts = [M @ walsh / dim for M in mats]
 
-    assert np.allclose(block.g0, np.concatenate([M @ p for M in mats]),
+    offsets = np.concatenate([np.zeros(dim)] + [M @ p for M in mats[1:]])
+    assert np.allclose(block.g0, offsets, rtol=0, atol=1e-12)
+    u = fwht(x)
+    assert np.allclose(block.apply(u), np.concatenate([M @ x for M in mats]),
                        rtol=0, atol=1e-12)
-    assert np.allclose(block.apply(x), np.concatenate([M @ x for M in mats]),
+    zs = z.reshape(rows, dim)
+    assert np.allclose(block.adjoint(z), sum(A.T @ zt for A, zt in zip(lifts, zs)),
                        rtol=0, atol=1e-12)
-    zs = z.reshape(len(partitions), dim)
-    assert np.allclose(block.adjoint(z), sum(M.T @ zt for M, zt in zip(mats, zs)),
-                       rtol=0, atol=1e-12)
-    ds = d.reshape(len(partitions), dim)
-    schur = sum(M.T @ (dt[:, None] * M) for M, dt in zip(mats, ds))
+    ds = d.reshape(rows, dim)
+    schur = sum(A.T @ (dt[:, None] * A) for A, dt in zip(lifts, ds))
     assert np.allclose(block.schur(d), schur, rtol=0, atol=1e-12 * np.abs(d).max())
+
+
+@st.composite
+def random_graphs_and_frames(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    images = []
+    for _ in range(n):
+        image_x, image_z = draw(st.permutations("XYZ"))[:2]
+        sign_x, sign_z = draw(st.sampled_from("+-")), draw(st.sampled_from("+-"))
+        images.append((sign_x + image_x, sign_z + image_z))
+    return Graph.from_edges(n, edges), LocalFrame.from_tokens(images)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_cut_masks_match_stabilizer_group(data):
+    graph, frame = data.draw(random_graphs_and_frames())
+    partitions = all_bipartitions(graph.n)
+    ymask, tmask = _cut_masks(graph, frame, partitions)
+    group = stabilizer_group(transformed_generators(graph, frame))
+    assert ymask.dtype == np.int64
+    assert ymask.tolist() == [s.x & s.z for s in group]
+    assert tmask.tolist() == [sum(1 << (q - 1) for q in part) for part in partitions]
