@@ -8,7 +8,7 @@ DATA is a measurement-record JSON file; bundled example datasets table1.json
 and table2.json resolve by name if no local file shadows them.  Exit codes:
 0 success, 2 malformed input (including a bad --partitions entry), 3
 robustness solve not possible (no full group, or more qubits than the
-solver path's cap: 6 for dense, 12 for reduced) or not converged, or rg_min
+solver path's cap: 5 for dense, 12 for reduced) or not converged, or rg_min
 beyond the double range (a partial report is still emitted).
 """
 
@@ -149,14 +149,19 @@ def _parse_noise(specs, n: int) -> NoiseModel:
     return NoiseModel(tuple(eps), w)
 
 
+ALL_CUTS = "all"
+
+
 def _parse_partitions(specs, n: int):
-    """Canonical partitions from --partitions entries (None if not given)."""
+    """Canonical partitions from --partitions entries: None if not given, and
+    ALL_CUTS for 'all', which the caller expands with ``all_bipartitions``
+    (2^(n-1) - 1 cuts) only once it has a state to solve."""
     if specs is None:
         return None
     out = []
     for spec in specs:
         if spec == "all":
-            return all_bipartitions(n)
+            return ALL_CUTS
         try:
             out.append(tuple(int(tok) for tok in spec.split(",") if tok.strip()))
         except ValueError:
@@ -235,6 +240,8 @@ def cmd_analyze(args) -> int:
             )
             code = EXIT_SDP
         else:
+            if partitions == ALL_CUTS:
+                partitions = all_bipartitions(record.n)
             code = _run_sdp(report, state, record.graph, record.frame,
                             partitions, args.method) or code
     report.emit(args.format)
@@ -336,7 +343,9 @@ def cmd_robustness(args) -> int:
                 )
                 return EXIT_SDP
             state = ml_fit(record)
-        partitions = _parse_partitions(args.partitions, graph.n) or all_bipartitions(graph.n)
+        partitions = _parse_partitions(args.partitions, graph.n)
+        if partitions in (None, ALL_CUTS):
+            partitions = all_bipartitions(graph.n)
     except (ValueError, RecordFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -203,9 +203,9 @@ def ml_fit(
     """Max-likelihood graph-diagonal state: weighted least squares on the simplex.
 
     Minimizes sum_k w_k (<S_k>_p - value_k)^2 with w_k = 1/sigma_k^2 over
-    physical populations p, by projected gradient with a fixed step from a
-    power-iteration Lipschitz bound.  The identity entry is exact for any p
-    and is skipped.  Deterministic for the default uniform start.
+    physical populations p, by projected gradient with a fixed step from the
+    gradient's exact Lipschitz constant.  The identity entry is exact for any
+    p and is skipped.  Deterministic for the default uniform start.
     """
     if not record.entries:
         raise ValueError("empty measurement record")

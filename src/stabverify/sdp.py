@@ -12,9 +12,15 @@ slacks, so the reported duality gap is a rigorous bound regardless of solver
 internals.
 
 Two paths:
-  * ``ppt_robustness``: dense Hermitian sigma (2^2n real unknowns), intended
-    for n <= 4; each Hermitian constraint enters as its real symmetric
-    embedding.  Certified by fresh dense eigensolves.
+  * ``ppt_robustness``: dense Hermitian sigma (4^n real coordinates), capped
+    at 5 qubits.  The coordinates are an index map into sigma's d x d matrix
+    (``_hermitian_coords``), and sigma >= 0 and each (rho + sigma)^Gamma_T >= 0
+    is one ``PptBlock``, entering the solver as its real symmetric embedding.
+    A partial transpose only permutes matrix positions, so each block's slack,
+    apply and adjoint is one scatter or gather, and its Schur term is a gather
+    from products of two entries of the scaling matrix, as in the sparse
+    Schur assembly of Fujisawa, Kojima and Nakata, Math. Program. 79 (1997);
+    no basis matrix is built.  Certified by fresh dense eigensolves.
   * ``symmetry_reduced_robustness``: for graph-diagonal rho the optimum may
     be sought among graph-diagonal sigma (stabilizer twirling preserves
     feasibility and the objective), where every partial transpose is again
@@ -52,14 +58,13 @@ from .operators import (
 from .pauli import Graph, LocalFrame, transformed_generators
 from .reconstruct import state_p
 from .solver import (
-    SdpBlock,
     SdpConvergenceError,
     real_embed,
     real_unembed,
     solve_conic,
 )
 
-MAX_DENSE_DIM = 64
+MAX_DENSE_DIM = 32
 MAX_REDUCED_DIM = 4096
 PSD_FLOOR = -1e-8
 GAP_BOUND = 1e-6
@@ -179,23 +184,97 @@ def _check_density(rho: np.ndarray):
         raise ValueError(f"rho has trace {tr!r}, expected 1")
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    basis = []
-    for a in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[a, a] = 1.0
-        basis.append(e)
-    for a in range(d):
-        for b in range(a + 1, d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[a, b] = 1.0
-            e[b, a] = 1.0
-            basis.append(e)
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[a, b] = -1.0j
-            e[b, a] = 1.0j
-            basis.append(e)
-    return basis
+def _hermitian_coords(d: int):
+    """Sigma's d^2 real coordinates as an index map into a flat d x d matrix.
+
+    The coordinates are those of the basis E_aa, then for each a < b in
+    row-major order E_ab + E_ba and -i E_ab + i E_ba.  Entry pair u holds
+    the flat positions pos[u] = (x, swap x) of sigma's entries z_u and
+    conj(z_u): first the d diagonal pairs, then each (a, b) with a < b.  With
+    y = (Re z, Im z), coordinate i sets y[index[i]] = scale[i] x_i: so
+    Re z_aa = x_i / 2 (z_aa is counted at both positions of its pair),
+    Re z_ab = x_i and Im z_ab = -x_{i+1}.  weights = 4 scale scale' is the
+    factor of ``PptBlock.schur``.
+    """
+    a, b = np.triu_indices(d, 1)
+    rows = np.concatenate((np.arange(d), a))
+    cols = np.concatenate((np.arange(d), b))
+    pos = np.stack((rows * d + cols, cols * d + rows), axis=1)
+    off = np.arange(d, rows.size)
+    index = np.concatenate((np.arange(d), np.stack((off, rows.size + off), axis=1).ravel()))
+    scale = np.concatenate((np.full(d, 0.5), np.tile([1.0, -1.0], a.size)))
+    return pos, index, scale, 4.0 * np.multiply.outer(scale, scale)
+
+
+class PptBlock:
+    """One PSD constraint of the dense program in sigma's coordinates (see
+    ``_hermitian_coords``): x -> real_embed(offset + (sum_i x_i B_i)^Gamma_T).
+    T = () with offset 0 is sigma >= 0; a cut T with offset rho^Gamma_T is
+    (rho + sigma)^Gamma_T >= 0.  The partial transpose only permutes matrix
+    positions (an involution that commutes with the transpose), so every map
+    is a scatter or gather on a d x d matrix and no basis matrix is formed.
+    """
+
+    kind = "sdp"
+
+    def __init__(self, coords, offset, part=()):
+        pos, self.index, self.scale, self.weights = coords
+        d = offset.shape[0]
+        self.pos = partial_transpose(np.arange(d * d).reshape(d, d), part).ravel()[pos]
+        self.offset = offset
+        self.size = 2 * d
+
+    def hermitian(self, x):
+        """(sum_i x_i B_i)^Gamma_T as a complex d x d matrix."""
+        u = len(self.pos)
+        y = np.zeros(2 * u)
+        y[self.index] = self.scale * x
+        z = y[:u] + 1j * y[u:]
+        h = np.zeros(self.offset.size, dtype=np.complex128)
+        h[self.pos[:, 1]] = z.conj()
+        h[self.pos[:, 0]] += z  # a diagonal pair gets z + conj(z) = x_i
+        return h.reshape(self.offset.shape)
+
+    def slack(self, x):
+        return real_embed(self.offset + self.hermitian(x))
+
+    def apply(self, dx):
+        return real_embed(self.hermitian(dx))
+
+    def adjoint(self, Z):
+        """<real_embed(B_i^Gamma_T), Z> for each i; Z is any real 2d x 2d matrix."""
+        d = self.offset.shape[0]
+        z = ((Z[:d, :d] + Z[d:, d:]) + 1j * (Z[d:, :d] - Z[:d, d:])).ravel()
+        a, b = z[self.pos[:, 0]], z[self.pos[:, 1]]
+        return self.scale * np.concatenate(((a + b).real, (a - b).imag))[self.index]
+
+    def schur(self, W):
+        """[tr(F_i W F_k W)]_ik with F_i = real_embed(B_i^Gamma_T), W = real_embed(Wc).
+
+        Coordinate i sits on the entry pair (x, swap x) of its index, with
+        A_i = B_i^Gamma_T = c_i E_x + conj(c_i) E_swap x, where c_i is scale_i
+        for a real part and i scale_i for an imaginary part.  For k on the
+        pair (y, swap y), and with K[(p, q), (r, s)] = Wc[q, r] Wc[s, p],
+
+            2 Re tr(A_i Wc A_k Wc) = 4 Re (c_i c_k K[x, y] + c_i conj(c_k) K[x, swap y]),
+
+        as the two terms at swap x are conjugates of these (Hermitian Wc gives
+        K[swap x, swap y] = conj K[x, y]).  That is 4 scale_i scale_k times the
+        entry (index_i, index_k) of [[Re P, Im Q], [-Im P, Re Q]], where
+        P = K[x, swap y] + K[x, y] and Q = K[x, swap y] - K[x, y].  Row K[x, .]
+        is the row swap x = (a, b) of kron(Wc, Wc^T).
+        """
+        wc = real_unembed(W)
+        x, sx = self.pos[:, 0], self.pos[:, 1]
+        a, b = np.divmod(sx, len(wc))
+        k = (wc[a, :, None] * wc.T[b, None, :]).reshape(len(a), -1)
+        k0, k1 = k.take(x, axis=1), k.take(sx, axis=1)
+        p, q = k1 + k0, k1 - k0
+        u = len(a)
+        r = np.empty((2 * u, 2 * u))
+        r[:u, :u], r[:u, u:] = p.real, q.imag
+        r[u:, :u], r[u:, u:] = -p.imag, q.real
+        return self.weights * r[np.ix_(self.index, self.index)]
 
 
 def _certify(rho, sigma, partitions, raw_multipliers, method, iterations):
@@ -293,21 +372,14 @@ def ppt_robustness(
     if min(pt_eigs) >= -1e-12:
         return _trivial_solution(d, partitions, pt_eigs, "dense")
 
-    basis = _hermitian_basis(d)
-    m = len(basis)
-    c = np.array([float(np.trace(B).real) for B in basis])
-    blocks = [SdpBlock(np.zeros((2 * d, 2 * d)), np.stack([real_embed(B) for B in basis]))]
-    for part in partitions:
-        F0 = real_embed(partial_transpose(rho, part))
-        F = np.stack([real_embed(partial_transpose(B, part)) for B in basis])
-        blocks.append(SdpBlock(F0, F))
-    t0 = 0.5 + 2.0 * max(0.0, -min(pt_eigs))
-    x0 = np.zeros(m)
-    x0[:d] = t0  # sigma starts at t0 * identity
+    coords = _hermitian_coords(d)
+    blocks = [PptBlock(coords, np.zeros((d, d), dtype=np.complex128))]
+    blocks += [PptBlock(coords, partial_transpose(rho, part), part) for part in partitions]
+    c = np.zeros(d * d)
+    c[:d] = 1.0  # tr(sigma): the diagonal coordinates come first
+    x0 = (0.5 + 2.0 * max(0.0, -min(pt_eigs))) * c  # sigma starts at t0 * identity
     res = solve_conic(c, blocks, x0, gap_tol=gap_tol, max_iter=max_iter)
-    sigma = np.zeros((d, d), dtype=np.complex128)
-    for xi, B in zip(res.x, basis):
-        sigma += xi * B
+    sigma = blocks[0].hermitian(res.x)
     # embedded inner products double complex traces, hence the factor 2
     multipliers = [2.0 * real_unembed(Z) for Z in res.duals[1:]]
     return _certify(rho, sigma, partitions, multipliers, "dense", res.iterations)

@@ -4,13 +4,18 @@
     subject to  F0_j + sum_i x_i F_ij   PSD        (dense symmetric blocks)
                 g0_k + G_k x            >= 0       (orthant blocks)
 
-Mehrotra predictor-corrector with Nesterov-Todd scaling.  Complex Hermitian
-constraints enter through their real symmetric embedding (``real_embed``),
-which doubles the block size and the eigenvalue multiplicities but keeps all
-solver arithmetic real.  Block eigendecompositions use LAPACK ``eigh``.  A
-Cholesky factorization checks that the Schur matrix is positive definite;
-each Newton system is then solved by ``np.linalg.solve`` (numpy has no
-triangular solve).
+Mehrotra predictor-corrector with Nesterov-Todd scaling.  A block is any
+object with ``kind`` ("sdp" or "lp"), ``size``, ``slack(x)``, ``apply(dx)``,
+``adjoint(Z)`` and ``schur(W)``, its term of the Schur matrix:
+[tr(F_i W F_k W)]_ik for an SDP block at the scaling matrix W, G' diag(W) G
+for an orthant block at the scaling vector W.  The solver never sees the
+F_i or G, so each block applies its constraint in its own structure
+(``sdp.PptBlock``, ``sdp.CutBlock``).  Complex Hermitian constraints enter
+through their real symmetric embedding (``real_embed``), which doubles the
+block size and the eigenvalue multiplicities but keeps all solver arithmetic
+real.  Block eigendecompositions use LAPACK ``eigh``.  A Cholesky
+factorization checks that the Schur matrix is positive definite; each Newton
+system is then solved by ``np.linalg.solve`` (numpy has no triangular solve).
 
 Step control: fraction-to-boundary 0.98, at most 200 iterations, relative
 complementarity-gap target 1e-7 by default.
@@ -34,7 +39,12 @@ class SdpConvergenceError(RuntimeError):
 def real_embed(h: np.ndarray) -> np.ndarray:
     """Complex Hermitian d x d -> real symmetric 2d x 2d with doubled spectrum."""
     h = np.asarray(h, dtype=np.complex128)
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+    d = h.shape[0]
+    out = np.empty((2 * d, 2 * d))
+    out[:d, :d] = out[d:, d:] = h.real
+    out[d:, :d] = h.imag
+    out[:d, d:] = -h.imag
+    return out
 
 
 def real_unembed(s: np.ndarray) -> np.ndarray:
@@ -44,31 +54,6 @@ def real_unembed(s: np.ndarray) -> np.ndarray:
     im = (s[d:, :d] - s[:d, d:]) / 2.0
     h = re + 1j * im
     return (h + h.conj().T) / 2.0
-
-
-class SdpBlock:
-    """Affine map x -> F0 + sum_i x_i F[i] into symmetric matrices.
-
-    An orthant block (``kind = "lp"``) is any object with ``size``,
-    ``slack``, ``apply``, ``adjoint`` and ``schur(d)``, the block's term
-    G' diag(d) G of the Schur matrix; ``sdp.CutBlock`` is one.
-    """
-
-    kind = "sdp"
-
-    def __init__(self, F0: np.ndarray, F: np.ndarray):
-        self.F0 = F0
-        self.F = F
-        self.size = F0.shape[0]
-
-    def slack(self, x):
-        return self.F0 + np.tensordot(x, self.F, axes=(0, 0))
-
-    def apply(self, dx):
-        return np.tensordot(dx, self.F, axes=(0, 0))
-
-    def adjoint(self, Z):
-        return np.tensordot(self.F, Z, axes=([1, 2], [0, 1]))
 
 
 @dataclass
@@ -152,9 +137,7 @@ def solve_conic(
                 wm, Um = np.linalg.eigh((M + M.T) / 2.0)
                 wm = np.maximum(wm, 1e-300)
                 Ri = (Um * wm ** -0.25).T @ Zh
-                Winv = Ri.T @ Ri
-                G = np.matmul(np.matmul(Winv[None], b.F), Winv[None])
-                H += np.tensordot(b.F, G, axes=([1, 2], [1, 2]))
+                H += b.schur(Ri.T @ Ri)
                 scal.append((Ri, np.sqrt(wm)))
             else:
                 s, z = S[j], Z[j]

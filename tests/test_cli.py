@@ -328,6 +328,22 @@ class TestPartitionsInput:
         assert err.startswith("error:") and named in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_generator_record_never_expands_all(self, capsys, monkeypatch):
+        # 'all' names 2^(n-1) - 1 cuts; a record without the full group has
+        # no state to solve, so they are never listed
+        import stabverify.cli as cli
+
+        def refuse(n):
+            raise AssertionError("all_bipartitions called for a generator-only record")
+
+        monkeypatch.setattr(cli, "all_bipartitions", refuse)
+        code, rep, _ = run_json(capsys, "analyze", "table1.json", "--trials", "1000",
+                                "--partitions", "all")
+        assert code == 3
+        assert "full" in rep["sdp"]["error"] and "f_min" in rep["generator_bounds"]
+        code, out, err = run_cli(capsys, "analyze", "table1.json", "--partitions", "1,x")
+        assert code == 2 and out == "" and "'1,x'" in err
+
     def test_population_sum_printed_as_a_number(self, tmp_path, capsys):
         f = tmp_path / "state.json"
         f.write_text(json.dumps({"graph": {"n": 2, "edges": [[1, 2]]},
@@ -346,7 +362,8 @@ class TestSolverCaps:
         f.write_text(json.dumps({"graph": {"n": n, "edges": edges}, "p": p}))
         return str(f)
 
-    @pytest.mark.parametrize("n,method,cap", [(7, "dense", 64), (13, "reduced", 4096)])
+    @pytest.mark.parametrize("n,method,cap", [(6, "dense", 32), (7, "dense", 32),
+                                              (13, "reduced", 4096)])
     def test_beyond_cap_exits_3(self, tmp_path, capsys, n, method, cap):
         f = self.write_state(tmp_path, n)
         code, out, err = run_cli(capsys, "robustness", f, "--method", method,

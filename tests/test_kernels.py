@@ -113,6 +113,20 @@ class TestPgFit:
         wts = np.full(idx.size, 1e4)
         return p_true, idx, vals, wts
 
+    def test_lipschitz_constant_is_exact(self):
+        # pg_fit's step: H' diag(w) H, with w zero off the measured rows, is an
+        # XOR convolution whose spectrum is D w, so lambda_max is D max(w)
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 5):
+            D = 1 << n
+            H = fwht(np.eye(D))
+            for _ in range(4):
+                idx = rng.choice(D, rng.integers(1, D + 1), replace=False)
+                w = np.zeros(D)
+                w[idx] = rng.uniform(0.01, 5.0, idx.size)
+                eigs = np.linalg.eigvalsh(H.T @ (w[:, None] * H))
+                assert np.allclose(eigs, np.sort(D * w), rtol=0, atol=1e-12 * D * w.max())
+
     def test_recovers_consistent_data(self):
         p_true, idx, vals, wts = self.setup_problem()
         p0 = np.full(p_true.size, 1.0 / p_true.size)

@@ -251,6 +251,15 @@ class TestEigHermitian:
         assert np.max(np.abs(emb - (V * w) @ V.conj().T)) < 1e-10
         assert np.allclose(w[0::2], w[1::2], atol=1e-9)
 
+    def test_real_embed_is_the_block_form(self):
+        # filled by slices, with the same bits as np.block (signed zeros too)
+        rng = np.random.default_rng(43)
+        for d in (1, 2, 5, 16):
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h[0, 0] = complex(0.0, -0.0)
+            block = np.block([[h.real, -h.imag], [h.imag, h.real]])
+            assert real_embed(h).tobytes() == block.tobytes()
+
     def test_degenerate_spectrum(self):
         A = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)
         w, V = eig_hermitian(A)

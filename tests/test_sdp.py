@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import stabverify as sv
 from stabverify import (
@@ -14,8 +16,52 @@ from stabverify import (
     ppt_robustness,
     symmetry_reduced_robustness,
 )
-from stabverify.sdp import canonical_partitions
-from stabverify.solver import SdpBlock, solve_conic
+from stabverify.sdp import PptBlock, _hermitian_coords, canonical_partitions
+from stabverify.simulate import NoiseModel, apply_noise
+from stabverify.solver import real_embed, solve_conic
+
+
+class SdpBlock:
+    """Dense oracle block: x -> F0 + sum_i x_i F[i] into symmetric matrices,
+    with every product formed in full from the F stack."""
+
+    kind = "sdp"
+
+    def __init__(self, F0: np.ndarray, F: np.ndarray):
+        self.F0 = F0
+        self.F = F
+        self.size = F0.shape[0]
+
+    def slack(self, x):
+        return self.F0 + np.tensordot(x, self.F, axes=(0, 0))
+
+    def apply(self, dx):
+        return np.tensordot(dx, self.F, axes=(0, 0))
+
+    def adjoint(self, Z):
+        return np.tensordot(self.F, Z, axes=([1, 2], [0, 1]))
+
+    def schur(self, W):
+        G = np.matmul(np.matmul(W[None], self.F), W[None])
+        return np.tensordot(self.F, G, axes=([1, 2], [1, 2]))
+
+
+def hermitian_basis(d):
+    """E_aa, then for each a < b in row-major order E_ab + E_ba and -i E_ab + i E_ba."""
+    basis = []
+    for a in range(d):
+        e = np.zeros((d, d), dtype=np.complex128)
+        e[a, a] = 1.0
+        basis.append(e)
+    for a in range(d):
+        for b in range(a + 1, d):
+            e = np.zeros((d, d), dtype=np.complex128)
+            e[a, b] = e[b, a] = 1.0
+            basis.append(e)
+            e = np.zeros((d, d), dtype=np.complex128)
+            e[a, b], e[b, a] = -1.0j, 1.0j
+            basis.append(e)
+    return basis
 
 
 def bell_density():
@@ -80,6 +126,38 @@ class TestSolverCore:
             solve_conic(c, blocks, np.array([2.0]), max_iter=1)
         assert ei.value.result is not None
         assert ei.value.result.gap >= 0
+
+
+def unit_bounded(shape):
+    return arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ppt_block_matches_dense_oracle(data):
+    # every map of the index-map block against the F stack it replaces
+    n = data.draw(st.integers(1, 3))
+    d = 1 << n
+    part = tuple(q for q in range(1, n + 1) if data.draw(st.booleans()))
+    re, im = data.draw(unit_bounded((d, d))), data.draw(unit_bounded((d, d)))
+    offset = partial_transpose(re + re.T + 1j * (im - im.T), part)
+    x = data.draw(unit_bounded(d * d))
+    Z = data.draw(unit_bounded((2 * d, 2 * d)))  # adjoint takes any matrix
+    wr, wi = data.draw(unit_bounded((d, d))), data.draw(unit_bounded((d, d)))
+    W = real_embed(wr + wr.T + 1j * (wi - wi.T))  # schur's scaling matrix
+    block = PptBlock(_hermitian_coords(d), offset, part)
+    F = np.stack([real_embed(partial_transpose(B, part)) for B in hermitian_basis(d)])
+    oracle = SdpBlock(real_embed(offset), F)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    assert close(block.slack(x), oracle.slack(x))
+    assert close(block.apply(x), oracle.apply(x))
+    assert close(block.adjoint(Z), oracle.adjoint(Z))
+    assert close(block.schur(W), oracle.schur(W))
+    assert close(block.hermitian(x), sum(xi * partial_transpose(B, part)
+                                         for xi, B in zip(x, hermitian_basis(d))))
 
 
 class TestBellOracle:
@@ -196,6 +274,18 @@ class TestDensePath:
         rho = np.outer(v, v.conj())
         sol = ppt_robustness(RobustnessProblem(rho, all_bipartitions(n)))
         assert abs(sol.value - (2 ** b - 1)) < 1e-4
+
+    def test_noisy_cluster_iterations_and_reduced_agreement(self, paper4):
+        # the iteration counts of the F-stack blocks this path replaced
+        graph, frame = paper4
+        for z in (0.02, 0.05, 0.08):
+            p = apply_noise(graph, NoiseModel((z, z + 0.004, z - 0.003, z + 0.002), 0.02)).p
+            rho = graph_diagonal_operator(p, graph, frame)
+            sol = ppt_robustness(RobustnessProblem(rho, all_bipartitions(4)))
+            reduced = symmetry_reduced_robustness(p, graph, frame)
+            assert sol.iterations == 10
+            assert abs(sol.value - reduced.value) <= 1e-8 * reduced.value
+            assert sol.duality_gap <= 1e-6 * (1 + sol.value)
 
     def test_monotone_in_partitions(self):
         p, rho = rand_graph_diag(3, Graph.path(3), seed=3)
