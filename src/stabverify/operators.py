@@ -190,17 +190,3 @@ def stabilizer_expectations(vec: np.ndarray, group: list[PauliString]) -> np.nda
     for k, s in enumerate(group):
         out[k] = fidelity_pure(pauli_to_matrix(s), vec)
     return out
-
-
-def operator_to_json_dict(op: np.ndarray) -> dict:
-    op = np.asarray(op, dtype=np.complex128)
-    return {
-        "d": op.shape[0],
-        "entries": [[float(v.real), float(v.imag)] for v in op.reshape(-1)],
-    }
-
-
-def operator_from_json_dict(d: dict) -> np.ndarray:
-    dim = int(d["d"])
-    flat = np.array([complex(re, im) for re, im in d["entries"]])
-    return flat.reshape(dim, dim)

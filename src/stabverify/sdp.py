@@ -14,11 +14,12 @@ internals.
 Two paths:
   * ``ppt_robustness``: dense Hermitian sigma (4^n real coordinates), capped
     at 5 qubits.  The coordinates are an index map into sigma's d x d matrix
-    (``_hermitian_coords``), and sigma >= 0 and each (rho + sigma)^Gamma_T >= 0
-    is one ``PptBlock``, entering the solver as its real symmetric embedding.
-    A partial transpose only permutes matrix positions, so each block's slack,
-    apply and adjoint is one scatter or gather, and its Schur term is a gather
-    from products of two entries of the scaling matrix, as in the sparse
+    (``_hermitian_coords``), and sigma >= 0 with every (rho + sigma)^Gamma_T
+    >= 0 is one ``PptBlock``: a stack of complex Hermitian d x d matrices,
+    paired with the dual stack by Re tr.  A partial transpose only permutes
+    matrix positions, so the block's slack, apply and adjoint are each one
+    scatter or gather, and its Schur term is a gather from products of two
+    entries of each scaling matrix, summed over the stack, as in the sparse
     Schur assembly of Fujisawa, Kojima and Nakata, Math. Program. 79 (1997);
     no basis matrix is built.  Certified by fresh dense eigensolves.
   * ``symmetry_reduced_robustness``: for graph-diagonal rho the optimum may
@@ -57,12 +58,7 @@ from .operators import (
 )
 from .pauli import Graph, LocalFrame, transformed_generators
 from .reconstruct import state_p
-from .solver import (
-    SdpConvergenceError,
-    real_embed,
-    real_unembed,
-    solve_conic,
-)
+from .solver import SdpConvergenceError, solve_conic
 
 MAX_DENSE_DIM = 32
 MAX_REDUCED_DIM = 4096
@@ -110,9 +106,10 @@ class RobustnessProblem:
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=np.complex128)
-        n = rho.shape[0].bit_length() - 1
-        if rho.shape[0] != 1 << n or rho.shape[0] != rho.shape[1]:
+        d = rho.shape[0] if rho.ndim else 0
+        if rho.shape != (d, d) or not d or d & (d - 1):
             raise ValueError("rho must be square with power-of-2 dimension")
+        n = d.bit_length() - 1
         object.__setattr__(self, "rho", rho)
         object.__setattr__(
             self, "partitions", canonical_partitions(n, self.partitions)
@@ -193,7 +190,7 @@ def _hermitian_coords(d: int):
     conj(z_u): first the d diagonal pairs, then each (a, b) with a < b.  With
     y = (Re z, Im z), coordinate i sets y[index[i]] = scale[i] x_i: so
     Re z_aa = x_i / 2 (z_aa is counted at both positions of its pair),
-    Re z_ab = x_i and Im z_ab = -x_{i+1}.  weights = 4 scale scale' is the
+    Re z_ab = x_i and Im z_ab = -x_{i+1}.  weights = 2 scale scale' is the
     factor of ``PptBlock.schur``.
     """
     a, b = np.triu_indices(d, 1)
@@ -203,74 +200,98 @@ def _hermitian_coords(d: int):
     off = np.arange(d, rows.size)
     index = np.concatenate((np.arange(d), np.stack((off, rows.size + off), axis=1).ravel()))
     scale = np.concatenate((np.full(d, 0.5), np.tile([1.0, -1.0], a.size)))
-    return pos, index, scale, 4.0 * np.multiply.outer(scale, scale)
+    return pos, index, scale, 2.0 * np.multiply.outer(scale, scale)
+
+
+def _pair_products(w, x, sx):
+    """K[x, swap y] + K[x, y] and K[x, swap y] - K[x, y] over the entry pairs
+    (x, swap x) and (y, swap y), with K[(p, q), (r, s)] = w[q, r] w[s, p]:
+    row K[x, .] is the row swap x = (a, b) of kron(w, w^T)."""
+    a, b = np.divmod(sx, len(w))
+    k = (w[a, :, None] * w.T[b, None, :]).reshape(len(a), -1)
+    k0, k1 = k.take(x, axis=1), k.take(sx, axis=1)
+    return k1 + k0, k1 - k0
 
 
 class PptBlock:
-    """One PSD constraint of the dense program in sigma's coordinates (see
-    ``_hermitian_coords``): x -> real_embed(offset + (sum_i x_i B_i)^Gamma_T).
-    T = () with offset 0 is sigma >= 0; a cut T with offset rho^Gamma_T is
-    (rho + sigma)^Gamma_T >= 0.  The partial transpose only permutes matrix
-    positions (an involution that commutes with the transpose), so every map
-    is a scatter or gather on a d x d matrix and no basis matrix is formed.
+    """The dense program's PSD stack in sigma's coordinates (see
+    ``_hermitian_coords``): part T of ``[(), *partitions]`` is
+    x -> offset_T + (sum_i x_i B_i)^Gamma_T, with offset 0 for T = ()
+    (sigma >= 0) and rho^Gamma_T for a cut ((rho + sigma)^Gamma_T >= 0).
+    A partial transpose only permutes matrix positions (an involution that
+    commutes with the transpose): ``perm`` holds one permutation of the d^2
+    flat positions per part, and ``pos`` the entry pairs of each part.  So
+    every map is a scatter or gather on d x d matrices and no basis matrix is
+    formed.
     """
 
     kind = "sdp"
 
-    def __init__(self, coords, offset, part=()):
-        pos, self.index, self.scale, self.weights = coords
-        d = offset.shape[0]
-        self.pos = partial_transpose(np.arange(d * d).reshape(d, d), part).ravel()[pos]
-        self.offset = offset
-        self.size = 2 * d
+    def __init__(self, rho, partitions):
+        d = rho.shape[0]
+        self.base, self.index, self.scale, self.weights = _hermitian_coords(d)
+        parts = [(), *partitions]
+        flat = np.arange(d * d).reshape(d, d)
+        self.perm = np.stack([partial_transpose(flat, part).ravel() for part in parts])
+        self.pos = self.perm[:, self.base]
+        self.offset = np.stack([np.zeros((d, d), dtype=np.complex128)]
+                               + [partial_transpose(rho, part) for part in partitions])
 
     def hermitian(self, x):
-        """(sum_i x_i B_i)^Gamma_T as a complex d x d matrix."""
-        u = len(self.pos)
+        """sigma = sum_i x_i B_i as a complex d x d matrix."""
+        u = len(self.base)
         y = np.zeros(2 * u)
         y[self.index] = self.scale * x
         z = y[:u] + 1j * y[u:]
-        h = np.zeros(self.offset.size, dtype=np.complex128)
-        h[self.pos[:, 1]] = z.conj()
-        h[self.pos[:, 0]] += z  # a diagonal pair gets z + conj(z) = x_i
-        return h.reshape(self.offset.shape)
+        h = np.zeros(self.perm.shape[1], dtype=np.complex128)
+        h[self.base[:, 1]] = z.conj()
+        h[self.base[:, 0]] += z  # a diagonal pair gets z + conj(z) = x_i
+        return h.reshape(self.offset.shape[1:])
 
     def slack(self, x):
-        return real_embed(self.offset + self.hermitian(x))
+        return self.offset + self.apply(x)
 
     def apply(self, dx):
-        return real_embed(self.hermitian(dx))
+        return self.hermitian(dx).ravel()[self.perm].reshape(self.offset.shape)
 
     def adjoint(self, Z):
-        """<real_embed(B_i^Gamma_T), Z> for each i; Z is any real 2d x 2d matrix."""
-        d = self.offset.shape[0]
-        z = ((Z[:d, :d] + Z[d:, d:]) + 1j * (Z[d:, :d] - Z[:d, d:])).ravel()
-        a, b = z[self.pos[:, 0]], z[self.pos[:, 1]]
+        """sum_T Re tr(B_i^Gamma_T Z_T) for each i; Z is any (k, d, d) stack.
+
+        The partial transpose is its own adjoint under Re tr, so this is
+        Re tr(B_i Y) with Y = sum_T Z_T^Gamma_T: on the pair (x, swap x) of
+        B_i, scale_i Re(Y[x] + Y[swap x]) for a real part and
+        scale_i Im(Y[x] - Y[swap x]) for an imaginary part.
+        """
+        z = np.reshape(Z, self.perm.shape)
+        y = np.take_along_axis(z, self.perm, axis=1).sum(axis=0)
+        a, b = y[self.base[:, 0]], y[self.base[:, 1]]
         return self.scale * np.concatenate(((a + b).real, (a - b).imag))[self.index]
 
     def schur(self, W):
-        """[tr(F_i W F_k W)]_ik with F_i = real_embed(B_i^Gamma_T), W = real_embed(Wc).
+        """[sum_T Re tr(A_iT W_T A_kT W_T)]_ik with A_iT = B_i^Gamma_T, for a
+        Hermitian (k, d, d) stack W.
 
-        Coordinate i sits on the entry pair (x, swap x) of its index, with
-        A_i = B_i^Gamma_T = c_i E_x + conj(c_i) E_swap x, where c_i is scale_i
+        In part T coordinate i sits on the entry pair (x, swap x) of its
+        index, with A_iT = c_i E_x + conj(c_i) E_swap x, where c_i is scale_i
         for a real part and i scale_i for an imaginary part.  For k on the
-        pair (y, swap y), and with K[(p, q), (r, s)] = Wc[q, r] Wc[s, p],
+        pair (y, swap y), and with K[(p, q), (r, s)] = W_T[q, r] W_T[s, p],
 
-            2 Re tr(A_i Wc A_k Wc) = 4 Re (c_i c_k K[x, y] + c_i conj(c_k) K[x, swap y]),
+            Re tr(A_iT W_T A_kT W_T) = 2 Re (c_i c_k K[x, y] + c_i conj(c_k) K[x, swap y]),
 
-        as the two terms at swap x are conjugates of these (Hermitian Wc gives
-        K[swap x, swap y] = conj K[x, y]).  That is 4 scale_i scale_k times the
-        entry (index_i, index_k) of [[Re P, Im Q], [-Im P, Re Q]], where
-        P = K[x, swap y] + K[x, y] and Q = K[x, swap y] - K[x, y].  Row K[x, .]
-        is the row swap x = (a, b) of kron(Wc, Wc^T).
+        as the two terms at swap x are conjugates of these (Hermitian W_T
+        gives K[swap x, swap y] = conj K[x, y]).  That is 2 scale_i scale_k
+        times the entry (index_i, index_k) of [[Re P, Im Q], [-Im P, Re Q]],
+        where P = K[x, swap y] + K[x, y] and Q = K[x, swap y] - K[x, y].  P and
+        Q are summed over the parts; the gather and the weights are applied
+        once to the sum.
         """
-        wc = real_unembed(W)
-        x, sx = self.pos[:, 0], self.pos[:, 1]
-        a, b = np.divmod(sx, len(wc))
-        k = (wc[a, :, None] * wc.T[b, None, :]).reshape(len(a), -1)
-        k0, k1 = k.take(x, axis=1), k.take(sx, axis=1)
-        p, q = k1 + k0, k1 - k0
-        u = len(a)
+        p = q = 0.0
+        for w, pos in zip(W, self.pos):
+            pt, qt = _pair_products(w, pos[:, 0], pos[:, 1])
+            p += pt
+            q += qt
+            del pt, qt  # free them before the next part's products
+        u = len(p)
         r = np.empty((2 * u, 2 * u))
         r[:u, :u], r[:u, u:] = p.real, q.imag
         r[u:, :u], r[u:, u:] = -p.imag, q.real
@@ -372,17 +393,13 @@ def ppt_robustness(
     if min(pt_eigs) >= -1e-12:
         return _trivial_solution(d, partitions, pt_eigs, "dense")
 
-    coords = _hermitian_coords(d)
-    blocks = [PptBlock(coords, np.zeros((d, d), dtype=np.complex128))]
-    blocks += [PptBlock(coords, partial_transpose(rho, part), part) for part in partitions]
+    block = PptBlock(rho, partitions)
     c = np.zeros(d * d)
     c[:d] = 1.0  # tr(sigma): the diagonal coordinates come first
     x0 = (0.5 + 2.0 * max(0.0, -min(pt_eigs))) * c  # sigma starts at t0 * identity
-    res = solve_conic(c, blocks, x0, gap_tol=gap_tol, max_iter=max_iter)
-    sigma = blocks[0].hermitian(res.x)
-    # embedded inner products double complex traces, hence the factor 2
-    multipliers = [2.0 * real_unembed(Z) for Z in res.duals[1:]]
-    return _certify(rho, sigma, partitions, multipliers, "dense", res.iterations)
+    res = solve_conic(c, block, x0, gap_tol=gap_tol, max_iter=max_iter)
+    return _certify(rho, block.hermitian(res.x), partitions, res.dual[1:], "dense",
+                    res.iterations)
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +467,6 @@ class CutBlock:
         g0 = np.zeros(self.signs.shape)
         g0[1:] = _cut_products(self.signs[1:], p)
         self.g0 = g0.ravel()
-        self.size = self.g0.size
 
     def slack(self, u):
         return self.g0 + self.apply(u)
@@ -565,9 +581,9 @@ def symmetry_reduced_robustness(
     c = np.zeros(D)
     c[0] = 1.0  # tr(sigma) = sum(x) = u_0; x0 = t0 * ones is u0 = D t0 e_0
     u0 = D * (0.5 + 2.0 * max(0.0, -low)) * c
-    res = solve_conic(c, [cuts], u0, gap_tol=gap_tol, max_iter=max_iter)
+    res = solve_conic(c, cuts, u0, gap_tol=gap_tol, max_iter=max_iter)
     x = kernels.fwht(res.x) / D
     return _certify_weights(
-        p, np.maximum(x, 0.0), res.duals[0].reshape(cuts.signs.shape)[1:],
+        p, np.maximum(x, 0.0), res.dual.reshape(cuts.signs.shape)[1:],
         cuts.signs[1:], partitions, res.iterations, graph, frame,
     )

@@ -24,7 +24,6 @@ from stabverify.operators import (
     shannon_entropy,
     stabilizer_expectations,
 )
-from stabverify.solver import real_embed
 
 
 def char_poly_roots(A):
@@ -242,23 +241,14 @@ class TestEigHermitian:
         assert np.max(np.abs(V.conj().T @ V - np.eye(d))) < 1e-11
 
     def test_doubled_spectrum_input(self):
-        # the solver's dense blocks: real_embed(h) has every eigenvalue twice
+        # the real 2d x 2d block form of a Hermitian h has every eigenvalue twice
         rng = np.random.default_rng(42)
         h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         h = (h + h.conj().T) / 2
-        emb = real_embed(h)
+        emb = np.block([[h.real, -h.imag], [h.imag, h.real]])
         w, V = eig_hermitian(emb)
         assert np.max(np.abs(emb - (V * w) @ V.conj().T)) < 1e-10
         assert np.allclose(w[0::2], w[1::2], atol=1e-9)
-
-    def test_real_embed_is_the_block_form(self):
-        # filled by slices, with the same bits as np.block (signed zeros too)
-        rng = np.random.default_rng(43)
-        for d in (1, 2, 5, 16):
-            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            h[0, 0] = complex(0.0, -0.0)
-            block = np.block([[h.real, -h.imag], [h.imag, h.real]])
-            assert real_embed(h).tobytes() == block.tobytes()
 
     def test_degenerate_spectrum(self):
         A = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)
@@ -312,16 +302,6 @@ class TestScalarFunctionals:
         ti = trace_inner(a, b)
         assert abs(ti - np.trace(a @ b).real) < 1e-12
         assert abs(ti - trace_inner(b, a)) < 1e-12
-
-
-def test_operator_json_dump_roundtrip():
-    from stabverify.operators import operator_from_json_dict, operator_to_json_dict
-
-    rng = np.random.default_rng(20)
-    op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    d = operator_to_json_dict(op)
-    assert d["d"] == 4
-    assert np.allclose(operator_from_json_dict(d), op)
 
 
 class TestGraphDiagonalOperator:

@@ -16,21 +16,21 @@ from stabverify import (
     ppt_robustness,
     symmetry_reduced_robustness,
 )
-from stabverify.sdp import PptBlock, _hermitian_coords, canonical_partitions
+from stabverify.sdp import PptBlock, canonical_partitions
 from stabverify.simulate import NoiseModel, apply_noise
-from stabverify.solver import real_embed, solve_conic
+from stabverify.solver import solve_conic
 
 
 class SdpBlock:
-    """Dense oracle block: x -> F0 + sum_i x_i F[i] into symmetric matrices,
-    with every product formed in full from the F stack."""
+    """Dense oracle block: x -> F0 + sum_i x_i F[i] into a (k, m, m) stack of
+    Hermitian matrices, paired by Re tr, with every product formed in full
+    from the (dim, k, m, m) F stack."""
 
     kind = "sdp"
 
     def __init__(self, F0: np.ndarray, F: np.ndarray):
         self.F0 = F0
         self.F = F
-        self.size = F0.shape[0]
 
     def slack(self, x):
         return self.F0 + np.tensordot(x, self.F, axes=(0, 0))
@@ -39,11 +39,11 @@ class SdpBlock:
         return np.tensordot(dx, self.F, axes=(0, 0))
 
     def adjoint(self, Z):
-        return np.tensordot(self.F, Z, axes=([1, 2], [0, 1]))
+        return np.tensordot(self.F.conj(), Z, axes=([1, 2, 3], [0, 1, 2])).real
 
     def schur(self, W):
-        G = np.matmul(np.matmul(W[None], self.F), W[None])
-        return np.tensordot(self.F, G, axes=([1, 2], [1, 2]))
+        G = W[None] @ self.F @ W[None]
+        return np.tensordot(self.F, G.swapaxes(-1, -2), axes=([1, 2, 3], [1, 2, 3])).real
 
 
 def hermitian_basis(d):
@@ -87,19 +87,27 @@ class TestSolverCore:
     def test_tiny_lp(self):
         # min x s.t. x >= 1  ->  1
         c = np.ones(1)
-        blocks = [SdpBlock(np.array([[-1.0]]), np.array([[[1.0]]]))]
-        res = solve_conic(c, blocks, np.array([2.0]))
+        block = SdpBlock(np.array([[[-1.0]]]), np.array([[[[1.0]]]]))
+        res = solve_conic(c, block, np.array([2.0]))
         assert res.converged
         assert abs(res.objective - 1.0) < 1e-6
 
+    @staticmethod
+    def positive_part(A, basis):
+        # min tr(s) s.t. s >= 0, s >= A: one 2-stack, optimum the positive part of A
+        d = len(A)
+        F = np.stack([np.stack((b, b)) for b in basis])
+        c = np.array([np.trace(b).real for b in basis])
+        x0 = np.zeros(len(basis))
+        x0[:d] = float(np.abs(np.linalg.eigvalsh(A)).max()) + 1.0  # s = x0 I
+        return solve_conic(c, SdpBlock(np.stack((np.zeros_like(A), -A)), F), x0)
+
     def test_positive_part_sdp(self):
-        # min tr(s) s.t. s >= 0, s >= A: optimum is the positive part of A
         rng = np.random.default_rng(0)
         d = 4
         A = rng.standard_normal((d, d))
         A = (A + A.T) / 2
-        w = np.linalg.eigvalsh(A)
-        oracle = float(np.clip(w, 0, None).sum())
+        oracle = float(np.clip(np.linalg.eigvalsh(A), 0, None).sum())
         basis = []
         for i in range(d):
             e = np.zeros((d, d))
@@ -110,20 +118,27 @@ class TestSolverCore:
                 e = np.zeros((d, d))
                 e[i, j] = e[j, i] = 1
                 basis.append(e)
-        F = np.stack(basis)
-        c = np.array([np.trace(b) for b in basis])
-        blocks = [SdpBlock(np.zeros((d, d)), F), SdpBlock(-A, F)]
-        x0 = np.zeros(len(basis))
-        x0[:d] = float(np.abs(w).max()) + 1.0
-        res = solve_conic(c, blocks, x0)
+        res = self.positive_part(A, basis)
+        assert res.converged
+        assert abs(res.objective - oracle) < 1e-6
+
+    def test_positive_part_complex_hermitian(self):
+        # the same program over complex Hermitian s: every conjugate transpose
+        # of the solver's stack branch matters here
+        rng = np.random.default_rng(5)
+        d = 4
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        A = (A + A.conj().T) / 2
+        oracle = float(np.clip(np.linalg.eigvalsh(A), 0, None).sum())
+        res = self.positive_part(A, hermitian_basis(d))
         assert res.converged
         assert abs(res.objective - oracle) < 1e-6
 
     def test_nonconvergence_raises_with_best_iterate(self):
         c = np.ones(1)
-        blocks = [SdpBlock(np.array([[-1.0]]), np.array([[[1.0]]]))]
+        block = SdpBlock(np.array([[[-1.0]]]), np.array([[[[1.0]]]]))
         with pytest.raises(SdpConvergenceError) as ei:
-            solve_conic(c, blocks, np.array([2.0]), max_iter=1)
+            solve_conic(c, block, np.array([2.0]), max_iter=1)
         assert ei.value.result is not None
         assert ei.value.result.gap >= 0
 
@@ -135,19 +150,24 @@ def unit_bounded(shape):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_ppt_block_matches_dense_oracle(data):
-    # every map of the index-map block against the F stack it replaces
+    # every map of the index-map stack against the F stack it replaces
     n = data.draw(st.integers(1, 3))
     d = 1 << n
-    part = tuple(q for q in range(1, n + 1) if data.draw(st.booleans()))
+    subsets = st.sets(st.integers(1, n)).map(lambda s: tuple(sorted(s)))
+    parts = data.draw(st.lists(subsets, min_size=1, max_size=4))
+    k = 1 + len(parts)
     re, im = data.draw(unit_bounded((d, d))), data.draw(unit_bounded((d, d)))
-    offset = partial_transpose(re + re.T + 1j * (im - im.T), part)
+    rho = re + re.T + 1j * (im - im.T)
     x = data.draw(unit_bounded(d * d))
-    Z = data.draw(unit_bounded((2 * d, 2 * d)))  # adjoint takes any matrix
-    wr, wi = data.draw(unit_bounded((d, d))), data.draw(unit_bounded((d, d)))
-    W = real_embed(wr + wr.T + 1j * (wi - wi.T))  # schur's scaling matrix
-    block = PptBlock(_hermitian_coords(d), offset, part)
-    F = np.stack([real_embed(partial_transpose(B, part)) for B in hermitian_basis(d)])
-    oracle = SdpBlock(real_embed(offset), F)
+    Z = data.draw(unit_bounded((k, d, d))) + 1j * data.draw(unit_bounded((k, d, d)))
+    wr, wi = data.draw(unit_bounded((k, d, d))), data.draw(unit_bounded((k, d, d)))
+    W = wr + wr.swapaxes(1, 2) + 1j * (wi - wi.swapaxes(1, 2))  # schur's scaling stack
+    block = PptBlock(rho, parts)
+    all_parts = [(), *parts]
+    F = np.stack([np.stack([partial_transpose(B, t) for t in all_parts])
+                  for B in hermitian_basis(d)])
+    F0 = np.stack([np.zeros((d, d))] + [partial_transpose(rho, t) for t in parts])
+    oracle = SdpBlock(F0, F)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -156,8 +176,7 @@ def test_ppt_block_matches_dense_oracle(data):
     assert close(block.apply(x), oracle.apply(x))
     assert close(block.adjoint(Z), oracle.adjoint(Z))
     assert close(block.schur(W), oracle.schur(W))
-    assert close(block.hermitian(x), sum(xi * partial_transpose(B, part)
-                                         for xi, B in zip(x, hermitian_basis(d))))
+    assert close(block.hermitian(x), np.tensordot(x, F[:, 0], axes=(0, 0)))
 
 
 class TestBellOracle:
@@ -316,6 +335,11 @@ class TestDensePath:
         big = np.eye(128, dtype=complex) / 128
         with pytest.raises(ValueError, match="capped"):
             ppt_robustness(RobustnessProblem(big, [[1]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4, 4)], ids=["1d", "3d"])
+    def test_rejects_rho_that_is_not_a_matrix(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            RobustnessProblem(np.ones(shape), [[1]])
 
 
 class TestReducedPath:
