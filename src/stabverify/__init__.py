@@ -34,6 +34,7 @@ from .pauli import (
     LocalFrame,
     NotTwoColorableError,
     PauliString,
+    StabilizerCodec,
     TwoColoring,
     apply_frame,
     generators,

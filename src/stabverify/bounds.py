@@ -20,7 +20,8 @@ purity; ``purity_min_solution`` certifies it by an explicit KKT residual.
 
 Error bars come from Monte-Carlo resampling of the a_i (clipped normal),
 because the bounds are nonsmooth at their max{0, .} kinks.  Each bound
-reduces along the last axis, so it is evaluated once over the sample matrix.
+reduces along the last axis, so it is evaluated on row chunks of the sample
+matrix and the per-row values are joined before the std.
 """
 
 from __future__ import annotations
@@ -162,20 +163,38 @@ def purity_min(a, n: int | None = None):
 # Monte-Carlo error propagation.
 
 
-def _samples(a, sigma, trials: int, seed: int) -> np.ndarray:
-    """(trials, n) draws of a_i' ~ N(a_i, sigma_i), clipped to [-1, 1]."""
+# Samples drawn and evaluated per chunk: 1.28 MB of doubles, so that every
+# draw up to 10 000 trials of 16 generators is a single chunk, while a record
+# of thousands of qubits never holds its (trials, n) matrix at once.
+_CHUNK_SAMPLES = 160_000
+
+
+def _sample_chunks(a, sigma, trials: int, seed: int):
+    """Row chunks of the (trials, n) draws a_i' ~ N(a_i, sigma_i), clipped to
+    [-1, 1].  The chunks are consecutive draws from one generator, so they
+    stack to the same matrix as a single draw."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, _CHUNK_SAMPLES // max(np.size(a), 1))
+    for start in range(0, trials, rows):
+        chunk = rng.normal(a, sigma, size=(min(rows, trials - start), np.size(a)))
+        yield np.clip(chunk, -1.0, 1.0, out=chunk)
+
+
+def _per_row(bound_fns, a, sigma, trials: int, seed: int):
+    """Each bound_fn's values over all sample rows, evaluated chunk by chunk."""
     if trials < MIN_TRIALS:
         raise ValueError(f"use at least {MIN_TRIALS} trials")
-    samples = np.random.default_rng(seed).normal(a, sigma, size=(trials, np.size(a)))
-    return np.clip(samples, -1.0, 1.0, out=samples)
+    parts = [[fn(chunk) for fn in bound_fns]
+             for chunk in _sample_chunks(a, sigma, trials, seed)]
+    return [np.concatenate(vals) for vals in zip(*parts)]
 
 
 def propagate_errors(bound_fn, a, sigma, trials: int = 10_000, seed: int = 0):
     """Mean and std of bound_fn over a_i' ~ N(a_i, sigma_i) clipped to [-1, 1].
 
-    bound_fn maps the (trials, n) sample matrix to one value per row.
+    bound_fn maps a (rows, n) sample matrix to one value per row.
     """
-    vals = bound_fn(_samples(a, sigma, trials, seed))
+    (vals,) = _per_row([bound_fn], a, sigma, trials, seed)
     return {"mean": float(vals.mean()), "std": float(vals.std())}
 
 
@@ -223,14 +242,15 @@ def bound_report(
     One shared sample set keeps the derived quantities (e.g. lrg vs rg)
     mutually consistent.
     """
-    samples = _samples(data.a, data.sigma, trials, seed)
+    f, p, rs, er = _per_row(
+        [fidelity_min, purity_min, lambda x: robustness_min(x, b_size),
+         lambda x: rel_entropy_min(x, b_size)],
+        data.a, data.sigma, trials, seed)
     rg = robustness_min(data.a, b_size)
-    rs = robustness_min(samples, b_size)
     return BoundReport(
-        f_min=BoundValue(fidelity_min(data.a), float(fidelity_min(samples).std())),
-        p_min=BoundValue(purity_min(data.a), float(purity_min(samples).std())),
+        f_min=BoundValue(fidelity_min(data.a), float(f.std())),
+        p_min=BoundValue(purity_min(data.a), float(p.std())),
         rg_min=BoundValue(rg, _std(rs)),
         lrg_min=BoundValue(log_robustness(rg), float(np.log2(1.0 + rs).std())),
-        er_min=BoundValue(rel_entropy_min(data.a, b_size),
-                          float(rel_entropy_min(samples, b_size).std())),
+        er_min=BoundValue(rel_entropy_min(data.a, b_size), float(er.std())),
     )

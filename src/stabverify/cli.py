@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import MIN_TRIALS, GeneratorData, bound_report, er_lower_from_state
-from .pauli import Graph, LocalFrame, NotTwoColorableError, two_coloring
+from .pauli import Graph, LocalFrame, NotTwoColorableError, StabilizerCodec, two_coloring
 from .presets import FRAME_PRESET_GRAPHS, FRAME_PRESETS, GRAPH_PRESETS
 from .reconstruct import (
     GraphDiagonalState,
@@ -296,12 +296,11 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     m = exact_expectations(state)
-    from .pauli import stabilizer_group, transformed_generators
-    group = stabilizer_group(transformed_generators(graph, frame))
+    ks = record.measured_indices()
     print(f"wrote {args.out} ({len(record.entries)} entries, {args.shots} shots)")
     print("exact expectations:")
-    for k in record.measured_indices():
-        print(f"  k={k:0{graph.n}b} {str(group[k]):>{graph.n + 1}}  m = {m[k]:.12g}")
+    for k, pauli in zip(ks, StabilizerCodec(graph, frame).encode(ks)):
+        print(f"  k={k:0{graph.n}b} {pauli:>{graph.n + 1}}  m = {m[k]:.12g}")
     return EXIT_OK
 
 

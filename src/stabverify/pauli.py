@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class NotTwoColorableError(ValueError):
     """Raised when a graph contains an odd cycle."""
@@ -317,6 +319,117 @@ def stabilizer_group(gens: list[PauliString]) -> list[PauliString]:
 
 def transformed_generators(graph: Graph, frame: LocalFrame) -> list[PauliString]:
     return [apply_frame(frame, g) for g in generators(graph)]
+
+
+# letter code x | z << 1 of each byte: I, X, Z, Y -> 0, 1, 2, 3; anything else 4
+_LETTER_CODE = np.full(256, 4, dtype=np.uint8)
+for _c, (_bx, _bz) in _CHAR_TO_BITS.items():
+    _LETTER_CODE[ord(_c)] = _bx | _bz << 1
+_CODE_LETTER = np.frombuffer(b"IXZY", dtype=np.uint8)
+
+
+def _map_bits(m, x: np.ndarray, z: np.ndarray):
+    """Per-qubit GF(2) map m = (a, b, c, d): (x, z) -> (a x ^ b z, c x ^ d z)."""
+    a, b, c, d = (v[:, None] for v in m)
+    return (a & x) ^ (b & z), (c & x) ^ (d & z)
+
+
+class StabilizerCodec:
+    """Text <-> group index for the stabilizer elements of one (graph, frame).
+
+    Element k of the graph's group has X mask k and Z mask Gamma k (the XOR
+    of the neighborhoods of the vertices in k), and in letters I, X, Y, Z
+
+        S_k = (-1)^{|E(k)| + popcount(k & Gamma k) / 2}  X^k Z^{Gamma k},
+
+    where |E(k)| counts the edges inside k and the popcount term turns each
+    XZ = -iY into a Y letter (Hein, Eisert and Briegel, PRA 69, 062311).
+    Mod 2 the exponent equals sum_{a in k} ceil(c_a / 2), with c_a the
+    number of neighbors of a inside k.  The frame maps the (x, z) bits of each
+    qubit by a fixed invertible 2x2 matrix over GF(2) and multiplies in the
+    sign of that qubit's X, Y or Z image, so it moves no information between
+    qubits.  Rows are decoded and encoded together as (n, rows) bit arrays:
+    time and memory are O(rows * n) plus one pass over the edges, and the
+    2^n group is never built.
+    """
+
+    def __init__(self, graph: Graph, frame: LocalFrame):
+        if frame.n != graph.n:
+            raise ValueError(f"qubit counts differ: {frame.n} vs {graph.n}")
+        self.n = graph.n
+        self._neighbors = [np.array(sorted(graph.neighbors(a)), dtype=np.intp) - 1
+                           for a in range(1, self.n + 1)]
+        # per qubit: bits (x bit, z bit) and sign of the images of X and Z
+        xi = np.array([im[0] for im in frame.images], dtype=np.int64).T
+        zi = np.array([im[1] for im in frame.images], dtype=np.int64).T
+        ax, bx = xi[:2].astype(np.uint8)
+        az, bz = zi[:2].astype(np.uint8)
+        # x' = ax x ^ az z, z' = bx x ^ bz z; the inverse is the adjugate,
+        # since the determinant is 1 for anticommuting images
+        self._forward = (ax, az, bx, bz)
+        self._inverse = (bz, az, bx, ax)
+        # Y = i X Z maps to i sx sz P_X P_Z = i^{1 + phase} sx sz P_Y, with
+        # P_X P_Z = i^phase P_Y by the rule of _bare_product
+        phase = ((xi[0] & xi[1]) + (zi[0] & zi[1]) - ((xi[0] ^ zi[0]) & (xi[1] ^ zi[1]))
+                 + 2 * (xi[1] & zi[0])) % 4
+        sy = xi[2] * zi[2] * np.where(phase == 1, -1, 1)
+        self._image_negative = tuple((s < 0).astype(np.uint8) for s in (xi[2], sy, zi[2]))
+
+    def _neighbor_counts(self, x: np.ndarray) -> np.ndarray:
+        """c_a = |N(a) & k| per row, mod 256 (which keeps c_a mod 4)."""
+        c = np.empty_like(x)
+        for a, nb in enumerate(self._neighbors):
+            np.sum(x[nb], axis=0, dtype=np.uint8, out=c[a])
+        return c
+
+    def _negative(self, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """1 for each row whose element (x, z = Gamma x) has sign -1 after the frame."""
+        neg_x, neg_y, neg_z = (s[:, None] for s in self._image_negative)
+        t = x & ((c + 1) >> 1)  # ceil(c_a / 2) mod 2 on the vertices in k
+        t ^= (neg_x & x & ~z) ^ (neg_y & x & z) ^ (neg_z & ~x & z)
+        return np.bitwise_xor.reduce(t & 1, axis=0)
+
+    def decode(self, texts) -> list:
+        """Group index of each Pauli text ("-YZX", "+XZI", "XZI"), or None
+        where the text is not an element of this group: a wrong sign, a
+        wrong length, a letter other than I, X, Y, Z, or a non-member."""
+        texts = list(texts)
+        n = self.n
+        signs = np.zeros(len(texts), dtype=np.uint8)
+        bodies = []
+        for i, text in enumerate(texts):
+            body = text[1:] if text[:1] in ("+", "-") else text
+            signs[i] = text[:1] == "-"
+            ok = len(body) == n and body.isascii()
+            bodies.append(body.encode("ascii") if ok else b"?" * n)
+        codes = _LETTER_CODE[np.frombuffer(b"".join(bodies), dtype=np.uint8)]
+        codes = np.ascontiguousarray(codes.reshape(len(texts), n).T)  # (n, rows)
+        valid = (codes < 4).all(axis=0)
+        x, z = _map_bits(self._inverse, codes & 1, codes >> 1)
+        c = self._neighbor_counts(x)
+        valid &= (z == c & 1).all(axis=0)
+        valid &= self._negative(x, z, c) == signs
+        packed = np.ascontiguousarray(np.packbits(x, axis=0, bitorder="little").T)
+        width = packed.shape[1]
+        buf = packed.tobytes()
+        return [int.from_bytes(buf[i * width:(i + 1) * width], "little") if ok else None
+                for i, ok in enumerate(valid.tolist())]
+
+    def encode(self, ks) -> list[str]:
+        """Pauli text of each group index k in [0, 2^n), as ``str(group[k])``."""
+        ks = list(ks)
+        n = self.n
+        width = (n + 7) // 8
+        buf = b"".join(k.to_bytes(width, "little") for k in ks)
+        x = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(ks), width),
+                          axis=1, count=n, bitorder="little").T.copy()  # (n, rows)
+        c = self._neighbor_counts(x)
+        z = c & 1
+        negative = self._negative(x, z, c)
+        xp, zp = _map_bits(self._forward, x, z)
+        letters = _CODE_LETTER[(xp | zp << 1).T].tobytes().decode("ascii")
+        return [("-" if s else "") + letters[i * n:(i + 1) * n]
+                for i, s in enumerate(negative.tolist())]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ a Walsh-transform pair:
 
 Raw populations from measured data may dip negative; ``ml_fit`` projects the
 data onto the physical simplex by weighted least squares.
+
+A record row names its stabilizer element either by the index string 'k' or
+by the signed operator text 'pauli' in the record's frame.  Reading and
+writing 'pauli' texts goes through ``pauli.StabilizerCodec``, which decodes
+and encodes all rows in one O(rows * n) batch, so no record form builds the
+2^n group and records of any n parse.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .operators import shannon_entropy
-from .pauli import Graph, LocalFrame, stabilizer_group, transformed_generators
+from .pauli import Graph, LocalFrame, StabilizerCodec
 
 
 class RecordFormatError(ValueError):
@@ -296,7 +302,13 @@ def record_from_json_dict(d: dict) -> MeasurementRecord:
         raise RecordFormatError(f"missing top-level field {exc}") from None
     if not isinstance(rows, list):
         raise RecordFormatError("'measurements' must be a list")
-    by_string = None  # built on the first 'pauli' row; 'k' rows need no group
+    # 'pauli' texts are decoded in one batch up front; errors are still raised
+    # in row order below
+    texts = {i: str(row["pauli"]).strip().upper() for i, row in enumerate(rows)
+             if isinstance(row, dict) and "pauli" in row and "k" not in row}
+    decoded = {}
+    if texts:
+        decoded = dict(zip(texts, StabilizerCodec(graph, frame).decode(texts.values())))
     entries = {}
     for i, row in enumerate(rows):
         where = f"measurements[{i}]"
@@ -307,17 +319,12 @@ def record_from_json_dict(d: dict) -> MeasurementRecord:
         if "k" in row:
             k = _index_from_kstring(str(row["k"]), graph.n)
         elif "pauli" in row:
-            text = str(row["pauli"]).strip().upper()
-            if not text:
+            if not texts[i]:
                 raise RecordFormatError(f"{where}: empty 'pauli' string")
-            key = text[1:] if text.startswith("+") else text
-            if by_string is None:
-                group = stabilizer_group(transformed_generators(graph, frame))
-                by_string = {str(s): k for k, s in enumerate(group)}
-            k = by_string.get(key)
+            k = decoded[i]
             if k is None:
                 raise RecordFormatError(
-                    f"{where}: operator {text!r} is not a stabilizer element "
+                    f"{where}: operator {texts[i]!r} is not a stabilizer element "
                     "of this graph and frame (check the sign)"
                 )
         else:
@@ -336,13 +343,14 @@ def record_from_json_dict(d: dict) -> MeasurementRecord:
 
 
 def record_to_json_dict(record: MeasurementRecord) -> dict:
-    group = stabilizer_group(transformed_generators(record.graph, record.frame))
+    ks = record.measured_indices()
+    paulis = StabilizerCodec(record.graph, record.frame).encode(ks)
     rows = []
-    for k in record.measured_indices():
+    for k, pauli in zip(ks, paulis):
         e = record.entries[k]
         row = {
             "k": _kstring_from_index(k, record.n),
-            "pauli": str(group[k]),
+            "pauli": pauli,
             "value": e.value,
             "sigma": e.sigma,
         }

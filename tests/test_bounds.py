@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stabverify import bounds
 from stabverify import (
     GeneratorData,
     bound_report,
@@ -336,6 +337,22 @@ class TestBoundReport:
         assert rep.lrg_min.sigma == 0.00408562490635783
         assert rep.er_min.sigma == 0.011051437912852582
         assert rep.p_min.sigma == pytest.approx(0.003999506514639216, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 999, 10_000])
+    def test_chunked_draws_are_bit_identical(self, monkeypatch, chunk):
+        # the draws come in row chunks from one generator; the floats must not
+        # depend on the chunk size
+        rng = np.random.default_rng(5)
+        a, sigma = rng.uniform(0.95, 1.0, 30), rng.uniform(0.0, 0.01, 30)
+        whole = bound_report(GeneratorData(a, sigma), 15, trials=2345, seed=9)
+        mc = propagate_errors(purity_min, a, sigma, trials=1500, seed=2)
+        monkeypatch.setattr(bounds, "_CHUNK_SAMPLES", chunk)
+        assert bound_report(GeneratorData(a, sigma), 15, trials=2345, seed=9) == whole
+        assert propagate_errors(purity_min, a, sigma, trials=1500, seed=2) == mc
+
+    def test_default_trials_of_16_generators_are_one_chunk(self):
+        chunks = list(bounds._sample_chunks(np.zeros(16), np.ones(16), 10_000, 0))
+        assert [c.shape for c in chunks] == [(10_000, 16)]
 
 
 @PROPERTY_SETTINGS

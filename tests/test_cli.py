@@ -269,6 +269,13 @@ def _full_group_record(**last_row):
     return {"graph": {"n": 2, "edges": [[1, 2]]}, "measurements": rows}
 
 
+def _table1_record(pauli):
+    doc = json.loads(Path(stabverify.__file__).with_name("data").joinpath("table1.json")
+                     .read_text())
+    doc["measurements"] = [{"pauli": pauli, "value": 0.994, "sigma": 0.001}]
+    return doc
+
+
 class TestMalformedDocuments:
     # each used to crash with a traceback and exit 1, or to parse
     @pytest.mark.parametrize("command", ["analyze", "robustness"])
@@ -279,6 +286,8 @@ class TestMalformedDocuments:
         (_full_group_record(), "positive sigma"),
         (_full_group_record(shots=0), "measurements[2]: 'shots'"),
         (_full_group_record(sigma=0.01, shots=-5), "measurements[2]: 'shots'"),
+        # "+-ZZII" used to parse as the element -ZZII
+        (_table1_record("+-ZZII"), "measurements[0]: operator '+-ZZII' is not a stabilizer"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, field):
         f = tmp_path / "doc.json"
@@ -469,3 +478,76 @@ class TestHugeGeneratorRecord:
         assert not re.search(r"inf|nan", out, re.IGNORECASE)
         if fmt == "json":
             assert "rg_min" in strict_json(out)["generator_bounds"]["error"]
+
+
+    def test_5000_qubits_in_bounded_memory(self, tmp_path):
+        # the Monte-Carlo draws are evaluated in row chunks: 10 000 trials of
+        # 5000 generators would be 400 MB as one matrix
+        f = self.write_record(tmp_path, 5000)
+        probe = ("import resource, sys; from stabverify.cli import main; "
+                 "code = main(sys.argv[1:]); "
+                 "print('maxrss_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
+                 "file=sys.stderr); sys.exit(code)")
+        src = str(Path(stabverify.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", probe, "analyze", str(f), "--format", "json"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 3
+        assert "rg_min" in strict_json(done.stdout)["generator_bounds"]["error"]
+        peak_mb = int(re.search(r"maxrss_kb (\d+)", done.stderr).group(1)) / 1024
+        assert peak_mb < 300
+
+
+def _generator_text(graph, a):
+    """Generator a of a graph state in letters, built independently of the codec."""
+    letters = ["I"] * graph.n
+    letters[a - 1] = "X"
+    for b in graph.neighbors(a):
+        letters[b - 1] = "Z"
+    return "".join(letters)
+
+
+class TestPauliRowsWithoutTheGroup:
+    # 'pauli' rows are decoded per row; the 2^n group is never built
+    @pytest.fixture
+    def no_group(self, monkeypatch):
+        def refuse(gens):
+            raise AssertionError("stabilizer_group called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "stabverify" and hasattr(module, "stabilizer_group"):
+                monkeypatch.setattr(module, "stabilizer_group", refuse)
+
+    def test_load_save_and_simulate(self, tmp_path, capsys, no_group):
+        from stabverify.reconstruct import load_record, save_record
+
+        out = tmp_path / "full5.json"
+        code, stdout, _ = run_cli(capsys, "simulate", "--graph", "paper6", "--frame", "paper6",
+                                  "--noise", "z=0.03", "--shots", "500", "--seed", "4",
+                                  "--out", str(out))
+        assert code == 0 and "k=000011" in stdout
+        doc = json.loads(out.read_text())
+        for row in doc["measurements"]:
+            del row["k"]
+        keyed = tmp_path / "pauli_only.json"
+        keyed.write_text(json.dumps(doc))
+        record = load_record(keyed)
+        assert record.has_full_group() and record.entries == load_record(out).entries
+        save_record(record, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == out.read_text()
+
+    def test_40_qubit_generator_record(self, tmp_path, capsys, no_group):
+        n = 40
+        graph = stabverify.Graph.path(n)
+        rows = [{"pauli": _generator_text(graph, a), "value": 0.9995, "sigma": 0.001}
+                for a in range(1, n + 1)]
+        f = tmp_path / "path40.json"
+        f.write_text(json.dumps({"graph": graph.to_json_dict(), "measurements": rows}))
+        code, out, err = run_cli(capsys, "analyze", str(f), "--trials", "1000",
+                                 "--format", "json")
+        assert code == 0, err
+        rep = strict_json(out)
+        assert rep["input"]["measured_indices"] == [1 << a for a in range(n)]
+        fid = (n * 0.9995 - n + 2) / 2
+        assert rep["generator_bounds"]["f_min"]["value"] == pytest.approx(fid, rel=1e-12)
+        assert rep["generator_bounds"]["rg_min"]["value"] == pytest.approx(
+            2.0 ** 20 * fid - 1, rel=1e-12)

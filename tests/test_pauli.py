@@ -7,6 +7,7 @@ from stabverify import (
     LocalFrame,
     NotTwoColorableError,
     PauliString,
+    StabilizerCodec,
     apply_frame,
     generators,
     multiply,
@@ -246,6 +247,75 @@ class TestGraph:
         assert repr(g) == f"Graph(n={n}, edges={g.edges!r})"
         assert graph_to_json(g) == graph_to_json(flipped)
         assert graph_from_json(graph_to_json(g)) == g
+
+
+LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+@st.composite
+def graphs_and_frames(draw, max_n=8):
+    """Graphs on n <= max_n vertices with any edge set (empty and disconnected
+    ones included) and a valid local frame: per qubit, two distinct Pauli
+    letters as the images of X and Z, each with either sign."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    images = []
+    for _ in range(n):
+        lx, lz = draw(st.permutations("XYZ"))[:2]
+        sx, sz = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        images.append(((*LETTER_BITS[lx], sx), (*LETTER_BITS[lz], sz)))
+    return graph, LocalFrame(n, tuple(images))
+
+
+class TestStabilizerCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(case=graphs_and_frames(), data=st.data())
+    def test_matches_the_group(self, case, data):
+        graph, frame = case
+        n = graph.n
+        texts = [str(s) for s in stabilizer_group(transformed_generators(graph, frame))]
+        codec = StabilizerCodec(graph, frame)
+        assert codec.encode(range(1 << n)) == texts
+        assert codec.decode(texts) == list(range(1 << n))
+        assert codec.decode("+" + t for t in texts if t[0] != "-") == [
+            k for k, t in enumerate(texts) if t[0] != "-"]
+        # a flipped sign, a wrong length or a foreign letter is never an element
+        flipped = [t[1:] if t[0] == "-" else "-" + t for t in texts]
+        assert codec.decode(flipped) == [None] * len(texts)
+        assert codec.decode("+" + t for t in texts if t[0] == "-") == [
+            None for t in texts if t[0] == "-"]
+        body = [t.lstrip("-") for t in texts]
+        assert codec.decode(b + "I" for b in body) == [None] * len(texts)
+        if n > 1:
+            assert codec.decode(b[1:] for b in body) == [None] * len(texts)
+        letter = data.draw(st.sampled_from("AQW-+ ix"))
+        where = data.draw(st.integers(0, n - 1))
+        assert codec.decode(b[:where] + letter + b[where + 1:] for b in body) == [None] * len(texts)
+        # any signed Pauli string is decoded to its group index or to None
+        index = {t: k for k, t in enumerate(texts)}
+        strings = data.draw(st.lists(
+            st.tuples(st.sampled_from(["", "-", "+"]), st.text("IXYZ", min_size=n, max_size=n)),
+            max_size=40))
+        probes = [sign + b for sign, b in strings]
+        assert codec.decode(probes) == [index.get(p.removeprefix("+")) for p in probes]
+
+    def test_large_graph_without_the_group(self):
+        # generators and a few products of a 70-qubit ring, far beyond 2^n
+        n = 70
+        graph = Graph.from_edges(n, [(a, a % n + 1) for a in range(1, n + 1)])
+        codec = StabilizerCodec(graph, LocalFrame.identity(n))
+        gens = [str(g) for g in generators(graph)]
+        assert codec.encode(1 << a for a in range(n)) == gens
+        assert codec.decode(gens) == [1 << a for a in range(n)]
+        k = (1 << 69) | 1  # vertices 70 and 1 are adjacent: X_70 Z_1 * X_1 Z_70 = Y Y
+        text = str(multiply(generators(graph)[0], generators(graph)[69]))
+        assert codec.encode([k]) == [text] and codec.decode([text]) == [k]
+
+    def test_sizes_must_agree(self):
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            StabilizerCodec(Graph.path(3), LocalFrame.identity(4))
 
 
 class TestTwoColoring:
