@@ -16,27 +16,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
-
-import numpy as np
 
 from . import __version__
 from .bounds import MIN_TRIALS, GeneratorData, bound_report, er_lower_from_state
 from .pauli import Graph, LocalFrame, NotTwoColorableError, StabilizerCodec, two_coloring
 from .presets import FRAME_PRESET_GRAPHS, FRAME_PRESETS, GRAPH_PRESETS
-from .reconstruct import (
-    GraphDiagonalState,
-    MeasurementRecord,
-    RecordFormatError,
-    load_record,
-    ml_fit,
-    raw_fidelity,
-    raw_purity,
-    record_from_json_dict,
-    save_record,
-)
+from .reconstruct import (GraphDiagonalState, MeasurementRecord, load_record,
+                          load_record_or_state, ml_fit, raw_fidelity, raw_purity, save_record)
 from .sdp import (all_bipartitions, canonical_partitions, check_solver_size, ppt_robustness,
                   RobustnessProblem, symmetry_reduced_robustness)
 from .simulate import NoiseModel, apply_noise, exact_expectations, generator_indices, sample_record
@@ -92,8 +82,6 @@ class Report:
 
 
 def _resolve_data_path(path: str) -> str:
-    import os
-
     if os.path.exists(path):
         return path
     if os.path.basename(path) == path:  # bare names may refer to bundled data
@@ -306,33 +294,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_robustness(args) -> int:
     try:
-        path = _resolve_data_path(args.input)
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    report = Report()
-    try:
-        if isinstance(data, dict) and "p" in data:
-            graph = Graph.from_json_dict(data.get("graph"))
-            frame = (LocalFrame.from_json_list(data["frame"])
-                     if data.get("frame") else LocalFrame.identity(graph.n))
-            try:
-                p = np.asarray(data["p"], dtype=float)
-            except TypeError:
-                raise RecordFormatError("'p' must be a list of numbers") from None
-            state = GraphDiagonalState(p)
-            if state.p.shape != (1 << graph.n,):
-                raise RecordFormatError(
-                    f"'p' must list 2^{graph.n} populations, got shape {state.p.shape}"
-                )
-            record = None
-        else:
-            record = record_from_json_dict(data)
-            graph, frame = record.graph, record.frame
-            if not record.has_full_group():
+        doc = load_record_or_state(_resolve_data_path(args.input))
+        if isinstance(doc, MeasurementRecord):
+            if not doc.has_full_group():
                 print(
                     "error: PPT robustness needs a state, which requires the "
                     "full stabilizer group (or a p-vector file); with "
@@ -341,14 +305,17 @@ def cmd_robustness(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_SDP
-            state = ml_fit(record)
+            graph, frame, state = doc.graph, doc.frame, ml_fit(doc)
+        else:
+            graph, frame, state = doc
         partitions = _parse_partitions(args.partitions, graph.n)
         if partitions in (None, ALL_CUTS):
             partitions = all_bipartitions(graph.n)
-    except (ValueError, RecordFormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
+    report = Report()
     report.set_section("input", {
         "path": args.input, "n": graph.n,
         "partitions": [list(t) for t in partitions],

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,11 +172,18 @@ class Graph:
         return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Graph":
-        try:
-            return cls.from_edges(int(d["n"]), d.get("edges", []))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed graph object: {d!r}") from exc
+    def from_json_dict(cls, d) -> "Graph":
+        """Graph from {"n": n, "edges": [[a, b], ...]} of JSON ints (not bools)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"'graph' must be an object, got {type(d).__name__}")
+        if type(d.get("n")) is not int:
+            raise ValueError(f"graph 'n' must be an integer, got {d.get('n')!r}")
+        edges = d.get("edges", [])
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)
+                for e in edges):
+            raise ValueError("graph 'edges' must be a list of pairs of vertex numbers")
+        return cls.from_edges(d["n"], edges)
 
 
 _SIGNED_TOKENS = {}
@@ -191,7 +197,7 @@ def _parse_signed_pauli(token: str):
     try:
         return _SIGNED_TOKENS[token.strip().upper()]
     except KeyError:
-        raise ValueError(f"invalid signed Pauli token {token!r}") from None
+        raise ValueError(f"invalid signed Pauli token {token!r} in a frame") from None
 
 
 def _format_signed_pauli(bits):
@@ -244,10 +250,12 @@ class LocalFrame:
 
     @classmethod
     def from_json_list(cls, items) -> "LocalFrame":
-        try:
-            return cls.from_tokens((d["X"], d["Z"]) for d in items)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed frame list: {items!r}") from exc
+        """Frame from [{"X": "-Z", "Z": "+X"}, ...], one entry per qubit."""
+        if not isinstance(items, list) or not all(
+                isinstance(d, dict) and all(isinstance(d.get(a), str) for a in "XZ")
+                for d in items):
+            raise ValueError("'frame' must be a list of {\"X\": token, \"Z\": token} objects")
+        return cls.from_tokens((d["X"], d["Z"]) for d in items)
 
     def is_identity(self) -> bool:
         return self == LocalFrame.identity(self.n)
@@ -470,10 +478,3 @@ def two_coloring(graph: Graph) -> TwoColoring:
         c0, c1 = c1, c0
     return TwoColoring(amber=c0, blue=c1)
 
-
-def graph_to_json(graph: Graph) -> str:
-    return json.dumps(graph.to_json_dict())
-
-
-def graph_from_json(text: str) -> Graph:
-    return Graph.from_json_dict(json.loads(text))

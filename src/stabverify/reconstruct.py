@@ -18,7 +18,7 @@ and encodes all rows in one O(rows * n) batch, so no record form builds the
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,12 +200,11 @@ def _entry_sigma(e: MeasurementEntry) -> float:
     return sigma
 
 
-def ml_fit(
-    record: MeasurementRecord,
-    start: np.ndarray | None = None,
-    max_iter: int = 1_000_000,
-    tol: float = 1e-9,
-) -> GraphDiagonalState:
+ML_MAX_ITER = 1_000_000  # cap on ml_fit's projected-gradient iterations
+ML_TOL = 1e-9            # ml_fit's KKT-residual target
+
+
+def ml_fit(record: MeasurementRecord, start: np.ndarray | None = None) -> GraphDiagonalState:
     """Max-likelihood graph-diagonal state: weighted least squares on the simplex.
 
     Minimizes sum_k w_k (<S_k>_p - value_k)^2 with w_k = 1/sigma_k^2 over
@@ -239,10 +238,10 @@ def ml_fit(
         np.asarray(vals, dtype=np.float64),
         np.asarray(wts, dtype=np.float64),
         p0.astype(np.float64),
-        max_iter,
-        tol,
+        ML_MAX_ITER,
+        ML_TOL,
     )
-    if kkt > tol:
+    if kkt > ML_TOL:
         raise RuntimeError(f"fit did not reach the target residual ({kkt:.2e})")
     return GraphDiagonalState(p)
 
@@ -263,83 +262,112 @@ def fit_objective(record: MeasurementRecord, p) -> float:
 
 
 # ----------------------------------------------------------------------
-# JSON serialization.
-# {"graph": {...}, "frame": [...], "measurements": [
-#    {"k": "0101", "value": ..., "sigma": ..., "shots": ...} |
-#    {"pauli": "-XXZI", "value": ..., ...}]}
+# JSON documents (formats in README.md); every one is read here.
 
 
-def _index_from_kstring(ks: str, n: int) -> int:
-    if len(ks) != n or not set(ks) <= {"0", "1"}:
-        raise RecordFormatError(f"bad stabilizer index string {ks!r} for n={n}")
-    return int(ks[::-1], 2)  # character a is bit a
+def _read_header(d, read_body) -> tuple:
+    """(graph, frame, body) of a record or state document.
 
-
-def _kstring_from_index(k: int, n: int) -> str:
-    return "".join("1" if (k >> a) & 1 else "0" for a in range(n))
-
-
-def _row_number(row: dict, key: str, where: str, convert=float):
-    try:
-        out = convert(row[key])
-    except (TypeError, ValueError, OverflowError):
-        out = math.nan
-    if not math.isfinite(out):
-        raise RecordFormatError(f"{where}: '{key}' must be a finite number, got {row[key]!r}")
-    return out
-
-
-def record_from_json_dict(d: dict) -> MeasurementRecord:
+    An absent or null frame is the identity, which is built qubit by qubit,
+    so ``read_body(d, n)`` first reads the body and checks it against the
+    declared qubit count: a declared n must not cost more than the document.
+    """
     if not isinstance(d, dict):
-        raise RecordFormatError(
-            f"a record must be a JSON object, got {type(d).__name__}"
-        )
-    try:
-        graph = Graph.from_json_dict(d["graph"])
-        frame = LocalFrame.from_json_list(d["frame"]) if d.get("frame") else LocalFrame.identity(graph.n)
-        rows = d["measurements"]
-    except KeyError as exc:
-        raise RecordFormatError(f"missing top-level field {exc}") from None
-    if not isinstance(rows, list):
-        raise RecordFormatError("'measurements' must be a list")
-    # 'pauli' texts are decoded in one batch up front; errors are still raised
-    # in row order below
-    texts = {i: str(row["pauli"]).strip().upper() for i, row in enumerate(rows)
-             if isinstance(row, dict) and "pauli" in row and "k" not in row}
-    decoded = {}
-    if texts:
-        decoded = dict(zip(texts, StabilizerCodec(graph, frame).decode(texts.values())))
-    entries = {}
+        raise RecordFormatError(f"a document must be a JSON object, got {type(d).__name__}")
+    graph = Graph.from_json_dict(d.get("graph"))
+    frame = None
+    if d.get("frame") is not None:
+        frame = LocalFrame.from_json_list(d["frame"])
+        if frame.n != graph.n:
+            raise RecordFormatError(f"'frame' lists {frame.n} qubits, the graph has {graph.n}")
+    body = read_body(d, graph.n)
+    return graph, frame or LocalFrame.identity(graph.n), body
+
+
+# JSON number types by exact type, which leaves out bool (an int subclass)
+_JSON_NUMBER = {float: (int, float), int: (int,)}
+_MAX_DOUBLE = sys.float_info.max
+
+
+def _row_number(row: dict, key: str, where: str, kind=float):
+    """row[key] as a finite float, or as an int for kind=int; nothing is coerced."""
+    v = row[key]
+    if type(v) not in _JSON_NUMBER[kind] or not -_MAX_DOUBLE <= v <= _MAX_DOUBLE:
+        expected = "an integer" if kind is int else "a finite number"
+        raise RecordFormatError(f"{where}: '{key}' must be {expected}, got {v!r}")
+    return kind(v)
+
+
+def _read_rows(d: dict, n: int) -> list:
+    """(k, entry) for each measurement row; k is still the text of a 'pauli' row."""
+    rows = d.get("measurements")
+    if not isinstance(rows, list) or not rows:
+        raise RecordFormatError("'measurements' must be a nonempty list of rows")
+    out = []
     for i, row in enumerate(rows):
         where = f"measurements[{i}]"
         if not isinstance(row, dict):
             raise RecordFormatError(f"{where}: must be an object")
         if "value" not in row:
             raise RecordFormatError(f"{where}: missing 'value'")
-        if "k" in row:
-            k = _index_from_kstring(str(row["k"]), graph.n)
-        elif "pauli" in row:
-            if not texts[i]:
-                raise RecordFormatError(f"{where}: empty 'pauli' string")
-            k = decoded[i]
-            if k is None:
-                raise RecordFormatError(
-                    f"{where}: operator {texts[i]!r} is not a stabilizer element "
-                    "of this graph and frame (check the sign)"
-                )
-        else:
+        key = "k" if "k" in row else "pauli" if "pauli" in row else None
+        if key is None:
             raise RecordFormatError(f"{where}: need either 'k' or 'pauli'")
-        if k in entries:
-            raise RecordFormatError(f"{where}: duplicate stabilizer index {k}")
+        k = row[key]
+        if not isinstance(k, str):
+            raise RecordFormatError(f"{where}: '{key}' must be a string, got {k!r}")
+        if key == "k":
+            if len(k) != n or not set(k) <= {"0", "1"}:
+                raise RecordFormatError(f"{where}: bad stabilizer index string {k!r} for n={n}")
+            k = int(k[::-1], 2)  # character a is bit a
+        else:
+            k = k.strip().upper()
+            if len(k) < n:
+                raise RecordFormatError(f"{where}: operator {k!r} has fewer than {n} qubits")
         shots = _row_number(row, "shots", where, int) if "shots" in row else None
         if shots is not None and shots < 1:
-            raise RecordFormatError(f"{where}: 'shots' must be at least 1, got {row['shots']!r}")
-        entries[k] = MeasurementEntry(
+            raise RecordFormatError(f"{where}: 'shots' must be at least 1, got {shots!r}")
+        out.append((k, MeasurementEntry(
             value=_row_number(row, "value", where),
             sigma=_row_number(row, "sigma", where) if "sigma" in row else 0.0,
             shots=shots,
-        )
+        )))
+    return out
+
+
+def record_from_json_dict(d: dict) -> MeasurementRecord:
+    graph, frame, rows = _read_header(d, _read_rows)
+    # 'pauli' texts are decoded in one batch
+    texts = [k for k, _ in rows if isinstance(k, str)]
+    decoded = iter(zip(texts, StabilizerCodec(graph, frame).decode(texts)) if texts else ())
+    entries = {}
+    for i, (k, entry) in enumerate(rows):
+        if isinstance(k, str):
+            text, k = next(decoded)
+            if k is None:
+                raise RecordFormatError(
+                    f"measurements[{i}]: operator {text!r} is not a stabilizer element "
+                    "of this graph and frame (check the sign)")
+        if k in entries:
+            raise RecordFormatError(f"measurements[{i}]: duplicate stabilizer index {k}")
+        entries[k] = entry
     return MeasurementRecord(graph=graph, frame=frame, entries=entries)
+
+
+def _read_populations(d: dict, n: int) -> GraphDiagonalState:
+    """'p', the 2^n graph-basis populations; 2^n is not formed, as n may be huge."""
+    p = d["p"]
+    if not isinstance(p, list) or not all(
+            type(v) in _JSON_NUMBER[float] and -_MAX_DOUBLE <= v <= _MAX_DOUBLE for v in p):
+        raise RecordFormatError("'p' must be a list of finite numbers")
+    if len(p) & (len(p) - 1) or len(p).bit_length() != n + 1:
+        raise RecordFormatError(f"'p' must list 2^{n} populations, got {len(p)}")
+    return GraphDiagonalState(np.array(p, dtype=float))
+
+
+def state_from_json_dict(d: dict) -> tuple[Graph, LocalFrame, GraphDiagonalState]:
+    """(graph, frame, state) of a state document."""
+    return _read_header(d, _read_populations)
 
 
 def record_to_json_dict(record: MeasurementRecord) -> dict:
@@ -349,7 +377,7 @@ def record_to_json_dict(record: MeasurementRecord) -> dict:
     for k, pauli in zip(ks, paulis):
         e = record.entries[k]
         row = {
-            "k": _kstring_from_index(k, record.n),
+            "k": format(k, f"0{record.n}b")[::-1],  # character a is bit a
             "pauli": pauli,
             "value": e.value,
             "sigma": e.sigma,
@@ -364,13 +392,22 @@ def record_to_json_dict(record: MeasurementRecord) -> dict:
     }
 
 
-def load_record(path) -> MeasurementRecord:
+def _load_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested beyond the parser
             raise RecordFormatError(f"{path}: invalid JSON ({exc})") from None
-    return record_from_json_dict(data)
+
+
+def load_record(path) -> MeasurementRecord:
+    return record_from_json_dict(_load_json(path))
+
+
+def load_record_or_state(path):
+    """The record in a file, or (graph, frame, state) for a state document (one with 'p')."""
+    d = _load_json(path)
+    return state_from_json_dict(d) if isinstance(d, dict) and "p" in d else record_from_json_dict(d)
 
 
 def save_record(record: MeasurementRecord, path):

@@ -376,11 +376,7 @@ def _trivial_solution(d, partitions, min_eigs, method):
     )
 
 
-def ppt_robustness(
-    problem: RobustnessProblem,
-    gap_tol: float = 1e-7,
-    max_iter: int = 200,
-) -> SdpSolution:
+def ppt_robustness(problem: RobustnessProblem) -> SdpSolution:
     """Dense-path PPT robustness with a verified dual certificate."""
     check_solver_size(problem.n, "dense")
     rho = problem.rho
@@ -397,7 +393,7 @@ def ppt_robustness(
     c = np.zeros(d * d)
     c[:d] = 1.0  # tr(sigma): the diagonal coordinates come first
     x0 = (0.5 + 2.0 * max(0.0, -min(pt_eigs))) * c  # sigma starts at t0 * identity
-    res = solve_conic(c, block, x0, gap_tol=gap_tol, max_iter=max_iter)
+    res = solve_conic(c, block, x0)
     return _certify(rho, block.hermitian(res.x), partitions, res.dual[1:], "dense",
                     res.iterations)
 
@@ -547,8 +543,6 @@ def symmetry_reduced_robustness(
     graph: Graph,
     frame: LocalFrame | None = None,
     partitions=None,
-    gap_tol: float = 1e-7,
-    max_iter: int = 200,
 ) -> SdpSolution:
     """PPT robustness restricted to graph-diagonal sigma.
 
@@ -581,7 +575,7 @@ def symmetry_reduced_robustness(
     c = np.zeros(D)
     c[0] = 1.0  # tr(sigma) = sum(x) = u_0; x0 = t0 * ones is u0 = D t0 e_0
     u0 = D * (0.5 + 2.0 * max(0.0, -low)) * c
-    res = solve_conic(c, cuts, u0, gap_tol=gap_tol, max_iter=max_iter)
+    res = solve_conic(c, cuts, u0)
     x = kernels.fwht(res.x) / D
     return _certify_weights(
         p, np.maximum(x, 0.0), res.dual.reshape(cuts.signs.shape)[1:],

@@ -21,8 +21,8 @@ triangular solve).
 The dual starts at 1 on each orthant entry and at 2 I on each d x d matrix,
 with d barrier terms per matrix: the identity start of the same program
 posed over real symmetric 2d x 2d embeddings, so both give the same iterates.
-Step control: fraction-to-boundary 0.98, at most 200 iterations, relative
-complementarity-gap target 1e-7 by default.
+Step control: fraction-to-boundary ``STEP_FRAC``, at most 200 iterations by
+default, relative complementarity-gap and dual-residual target ``GAP_TOL``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+GAP_TOL = 1e-7     # relative duality-gap and dual-residual target
+STEP_FRAC = 0.98   # fraction of the step to the cone boundary
 
 
 class SdpConvergenceError(RuntimeError):
@@ -79,9 +82,7 @@ def solve_conic(
     c: np.ndarray,
     block,
     x0: np.ndarray,
-    gap_tol: float = 1e-7,
     max_iter: int = 200,
-    step_frac: float = 0.98,
 ) -> IpmResult:
     """Run the predictor-corrector IPM from a strictly feasible primal x0."""
     c = np.asarray(c, dtype=float)
@@ -111,7 +112,7 @@ def solve_conic(
         )
         if best is None or gap + rd_norm < best.gap + best.dual_residual:
             best = result
-        if gap <= gap_tol * (1.0 + abs(obj)) and rd_norm <= gap_tol * (
+        if gap <= GAP_TOL * (1.0 + abs(obj)) and rd_norm <= GAP_TOL * (
             1.0 + np.linalg.norm(c, np.inf)
         ):
             result.converged = True
@@ -181,8 +182,8 @@ def solve_conic(
         sig = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0))
 
         dx, dS, dZ, ds, dz = directions(sig, (dsa, dza))
-        ap = min(1.0, step_frac * max_step(lam, ds))
-        ad = min(1.0, step_frac * max_step(lam, dz))
+        ap = min(1.0, STEP_FRAC * max_step(lam, ds))
+        ad = min(1.0, STEP_FRAC * max_step(lam, dz))
         if ap < 1e-12 and ad < 1e-12:
             raise SdpConvergenceError(f"step collapsed at iteration {it}", best)
         x = x + ap * dx

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from stabverify.cli import main
 from stabverify.presets import FRAME_PAPER4, FRAME_PAPER6, GRAPH_PAPER4, GRAPH_PAPER6
 
 ACCEPTANCE_LINES = []
@@ -36,3 +39,23 @@ def paper4():
 @pytest.fixture
 def paper6():
     return GRAPH_PAPER6, FRAME_PAPER6
+
+
+def run_cli(capsys, *argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def run_json(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    return code, strict_json(out), err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"non-finite number {token} in JSON output")
+
+    return json.loads(text, parse_constant=refuse)

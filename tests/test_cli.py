@@ -3,24 +3,15 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stabverify
+from conftest import run_cli, run_json, strict_json
 from stabverify.cli import Report, main
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-def run_json(capsys, *argv):
-    code, out, err = run_cli(capsys, *argv, "--format", "json")
-    return code, json.loads(out), err
 
 
 class TestAnalyzeBundled:
@@ -218,6 +209,16 @@ class TestAnalyzeErrors:
         assert code == 2
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "robustness"])
+    def test_nesting_beyond_the_parser_exits_2(self, tmp_path, capsys, command):
+        # json.load raises RecursionError: a traceback and exit 1
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, command, str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "invalid JSON" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_operator_mismatch_diagnostic(self, tmp_path, capsys):
         f = tmp_path / "bad2.json"
         f.write_text(json.dumps({
@@ -276,6 +277,26 @@ def _table1_record(pauli):
     return doc
 
 
+def _k_record(graph=None, frame=None, **first_row):
+    """A 2-qubit k-keyed full-group record with graph fields, frame and
+    first-row fields replaced."""
+    doc = _full_group_record(sigma=0.01)
+    doc["measurements"][0].update(first_row)
+    if graph is not None:
+        doc["graph"].update(graph)
+    if frame is not None:
+        doc["frame"] = frame
+    return doc
+
+
+def _state(**fields):
+    return {"graph": {"n": 2, "edges": [[1, 2]]}, "p": [0.8, 0.1, 0.06, 0.04], **fields}
+
+
+BAD_FRAME = [{"X": 5, "Z": "+Z"}, {"X": "+X", "Z": "+Z"}]
+SHORT_FRAME = [{"X": "+X", "Z": "+Z"}]
+
+
 class TestMalformedDocuments:
     # each used to crash with a traceback and exit 1, or to parse
     @pytest.mark.parametrize("command", ["analyze", "robustness"])
@@ -288,6 +309,22 @@ class TestMalformedDocuments:
         (_full_group_record(sigma=0.01, shots=-5), "measurements[2]: 'shots'"),
         # "+-ZZII" used to parse as the element -ZZII
         (_table1_record("+-ZZII"), "measurements[0]: operator '+-ZZII' is not a stabilizer"),
+        # an AttributeError traceback
+        (_k_record(frame=BAD_FRAME), "'frame'"),
+        (_state(frame=BAD_FRAME), "'frame'"),
+        # a frame shorter than the graph: exit 0 for analyze, 3 for robustness
+        (_k_record(frame=SHORT_FRAME), "'frame' lists 1 qubits"),
+        (_state(frame=SHORT_FRAME), "'frame' lists 1 qubits"),
+        # silently coerced
+        (_k_record(graph={"n": 2.7}), "graph 'n'"),
+        (_k_record(graph={"n": True}), "graph 'n'"),
+        (_k_record(graph={"edges": [[True, 2]]}), "graph 'edges'"),
+        (_full_group_record(sigma=0.01, shots=2.5), "measurements[2]: 'shots'"),
+        (_full_group_record(sigma=0.01, value=True), "measurements[2]: 'value'"),
+        (_k_record(k=10), "measurements[0]: 'k'"),
+        (_table1_record(None), "measurements[0]: 'pauli'"),
+        # no rows: analyze used to exit 0 with an input digest only
+        ({"graph": {"n": 2, "edges": [[1, 2]]}, "measurements": []}, "'measurements'"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, doc, field):
         f = tmp_path / "doc.json"
@@ -303,6 +340,9 @@ class TestMalformedDocuments:
         {"graph": {"n": 2, "edges": [[1, 2]]}, "p": [1.0, 0.0, 0.0]},
         {"graph": {"n": 2, "edges": [[1, 2]]}, "p": None},
         {"graph": {"n": 2, "edges": [[1, 2]]}, "p": {}},
+        _state(frame=BAD_FRAME),
+        _state(frame=SHORT_FRAME),
+        _state(p=[0.8, 0.1, 0.1, False]),
     ])
     def test_bad_state_file_exits_2(self, tmp_path, capsys, doc):
         f = tmp_path / "state.json"
@@ -311,6 +351,28 @@ class TestMalformedDocuments:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command,doc,field", [
+        ("analyze", {"graph": {"n": 10 ** 9, "edges": []}, "measurements": []}, "'measurements'"),
+        ("robustness", {"graph": {"n": 10 ** 9, "edges": []}, "measurements": []},
+         "'measurements'"),
+        ("analyze", {"graph": {"n": 10 ** 9, "edges": []},
+                     "measurements": [{"k": "1", "value": 0.9, "sigma": 0.01}]},
+         "measurements[0]: bad stabilizer index string '1'"),
+        ("robustness", {"graph": {"n": 10 ** 9, "edges": []}, "p": [1.0]}, "'p' must list"),
+    ])
+    def test_declared_n_costs_no_more_than_the_document(self, tmp_path, capsys, command,
+                                                        doc, field):
+        # the identity frame is built qubit by qubit (13 s and 217 MB at 2e7
+        # qubits, gigabytes at 1e9), so the body is checked against n first
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, str(f), "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestPartitionsInput:
@@ -435,13 +497,6 @@ class TestLargeGeneratorRecord:
         assert code == 3
         assert "full stabilizer group" in err
         assert "Traceback" not in err
-
-
-def strict_json(text):
-    def refuse(token):
-        raise ValueError(f"non-finite number {token} in JSON output")
-
-    return json.loads(text, parse_constant=refuse)
 
 
 class TestHugeGeneratorRecord:

@@ -16,7 +16,6 @@ from stabverify import (
     two_coloring,
 )
 from stabverify.operators import pauli_to_matrix
-from stabverify.pauli import graph_from_json, graph_to_json
 
 
 def mat(s):
@@ -228,7 +227,7 @@ class TestGraph:
 
     def test_json_roundtrip(self, paper6):
         graph, _ = paper6
-        assert graph_from_json(graph_to_json(graph)) == graph
+        assert Graph.from_json_dict(graph.to_json_dict()) == graph
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -245,8 +244,8 @@ class TestGraph:
         flipped = Graph.from_edges(n, [(b, a) for a, b in reversed(pairs)])
         assert flipped == g and hash(flipped) == hash(g)
         assert repr(g) == f"Graph(n={n}, edges={g.edges!r})"
-        assert graph_to_json(g) == graph_to_json(flipped)
-        assert graph_from_json(graph_to_json(g)) == g
+        assert g.to_json_dict() == flipped.to_json_dict()
+        assert Graph.from_json_dict(g.to_json_dict()) == g
 
 
 LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
