@@ -59,7 +59,6 @@ from .reconstruct import (
     walsh_populations,
 )
 from .sdp import (
-    RobustnessProblem,
     SdpSolution,
     all_bipartitions,
     ppt_min_eig,

@@ -6,10 +6,12 @@
 
 DATA is a measurement-record JSON file; bundled example datasets table1.json
 and table2.json resolve by name if no local file shadows them.  Exit codes:
-0 success, 2 malformed input (including a bad --partitions entry), 3
-robustness solve not possible (no full group, or more qubits than the
-solver path's cap: 5 for dense, 12 for reduced) or not converged, or rg_min
-beyond the double range (a partial report is still emitted).
+0 success, 2 malformed input (including a bad --partitions entry, or a
+simulate graph above MAX_SIMULATE_QUBITS), 3 robustness solve not possible
+(no full group, or more qubits than the solver path's cap: 5 for dense, 12
+for reduced) or not converged, or rg_min beyond the double range.  At exit 3
+both analyze and robustness still emit a partial report, and stderr holds
+one error: line.
 """
 
 from __future__ import annotations
@@ -24,17 +26,21 @@ from importlib import resources
 from . import __version__
 from .bounds import MIN_TRIALS, GeneratorData, bound_report, er_lower_from_state
 from .pauli import Graph, LocalFrame, NotTwoColorableError, StabilizerCodec, two_coloring
-from .presets import FRAME_PRESET_GRAPHS, FRAME_PRESETS, GRAPH_PRESETS
+from .presets import FRAME_PRESETS, GRAPH_PRESETS
 from .reconstruct import (GraphDiagonalState, MeasurementRecord, load_record,
                           load_record_or_state, ml_fit, raw_fidelity, raw_purity, save_record)
 from .sdp import (all_bipartitions, canonical_partitions, check_solver_size, ppt_robustness,
-                  RobustnessProblem, symmetry_reduced_robustness)
+                  symmetry_reduced_robustness)
 from .simulate import NoiseModel, apply_noise, exact_expectations, generator_indices, sample_record
 from .solver import SdpConvergenceError
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_SDP = 3
+
+# simulate forms all 2^n graph-basis populations of its state (and, with
+# --indices all, 2^n - 1 rows); at this cap it peaks at about 85 MB RSS
+MAX_SIMULATE_QUBITS = 16
 
 
 @dataclass
@@ -91,17 +97,28 @@ def _resolve_data_path(path: str) -> str:
     raise FileNotFoundError(f"no such file: {path}")
 
 
+def _simulable(n: int) -> int:
+    if n > MAX_SIMULATE_QUBITS:
+        raise ValueError(f"simulate is capped at {MAX_SIMULATE_QUBITS} qubits "
+                         f"(it forms all 2^n populations); the graph has {n}")
+    return n
+
+
 def _parse_graph(spec: str, frame_name: str | None = None) -> Graph:
+    """The --graph of simulate, refused above MAX_SIMULATE_QUBITS before a
+    path is built."""
     if spec in GRAPH_PRESETS:
         return GRAPH_PRESETS[spec]
     if spec.startswith("path:"):
-        n = int(spec.split(":", 1)[1])
+        n = _simulable(int(spec.split(":", 1)[1]))
         # a preset frame pins the vertex labeling of its own chain
-        if frame_name in FRAME_PRESET_GRAPHS and FRAME_PRESET_GRAPHS[frame_name].n == n:
-            return FRAME_PRESET_GRAPHS[frame_name]
+        if frame_name in GRAPH_PRESETS and GRAPH_PRESETS[frame_name].n == n:
+            return GRAPH_PRESETS[frame_name]
         return Graph.path(n)
     with open(spec) as fh:
-        return Graph.from_json_dict(json.load(fh))
+        graph = Graph.from_json_dict(json.load(fh))
+    _simulable(graph.n)
+    return graph
 
 
 def _parse_frame(spec: str | None, n: int) -> LocalFrame:
@@ -109,11 +126,12 @@ def _parse_frame(spec: str | None, n: int) -> LocalFrame:
         return LocalFrame.identity(n)
     if spec in FRAME_PRESETS:
         frame = FRAME_PRESETS[spec]
-        if frame.n != n:
-            raise ValueError(f"frame preset {spec} is for {frame.n} qubits, graph has {n}")
-        return frame
-    with open(spec) as fh:
-        return LocalFrame.from_json_list(json.load(fh))
+    else:
+        with open(spec) as fh:
+            frame = LocalFrame.from_json_list(json.load(fh))
+    if frame.n != n:
+        raise ValueError(f"--frame {spec} lists {frame.n} qubits; the graph has {n}")
+    return frame
 
 
 def _parse_noise(specs, n: int) -> NoiseModel:
@@ -142,7 +160,7 @@ ALL_CUTS = "all"
 
 def _parse_partitions(specs, n: int):
     """Canonical partitions from --partitions entries: None if not given, and
-    ALL_CUTS for 'all', which the caller expands with ``all_bipartitions``
+    ALL_CUTS for 'all', which ``_run_sdp`` expands with ``all_bipartitions``
     (2^(n-1) - 1 cuts) only once it has a state to solve."""
     if specs is None:
         return None
@@ -219,50 +237,47 @@ def cmd_analyze(args) -> int:
                            sigma=bv.sigma)
 
     if partitions:
-        if state is None:
-            report.set_section(
-                "sdp",
-                {"error": "PPT robustness needs a reconstructed state (full "
-                          "stabilizer group); generator-only data gives the "
-                          "rg_min bound instead"},
-            )
-            code = EXIT_SDP
-        else:
-            if partitions == ALL_CUTS:
-                partitions = all_bipartitions(record.n)
-            code = _run_sdp(report, state, record.graph, record.frame,
-                            partitions, args.method) or code
+        code = _run_sdp(report, state, record.graph, record.frame,
+                        partitions, args.method)[0] or code
     report.emit(args.format)
     return code
 
 
-def _run_sdp(report: Report, state: GraphDiagonalState, graph, frame,
-             partitions, method: str) -> int:
+def _run_sdp(report: Report, state: GraphDiagonalState | None, graph, frame,
+             partitions, method: str):
+    """The report's sdp section for both commands, and the exit code with the
+    cuts solved.  ALL_CUTS is expanded only once a state exists; without one
+    (no full stabilizer group), beyond a size cap, or when the solve or its
+    certificate fails, the section holds the error, which also goes to stderr
+    as one error: line, and the code is EXIT_SDP."""
     try:
+        if state is None:
+            raise ValueError("PPT robustness needs a reconstructed state (full "
+                             "stabilizer group); generator-only data gives the "
+                             "rg_min bound instead")
+        if partitions == ALL_CUTS:
+            partitions = all_bipartitions(graph.n)
         check_solver_size(graph.n, method)  # before rho is built
         if method == "dense":
             from .operators import graph_diagonal_operator
 
             rho = graph_diagonal_operator(state.p, graph, frame)
-            sol = ppt_robustness(RobustnessProblem(rho, partitions))
+            sol = ppt_robustness(rho, partitions)
         else:
             sol = symmetry_reduced_robustness(state, graph, frame, partitions)
-        payload = sol.to_json_dict()
-        payload["value"] = {"value": sol.value, "provenance": "sdp"}
-        payload["provenance"] = "sdp"  # applies to every number in this section
-        report.set_section("sdp", payload)
-        return EXIT_OK
-    except SdpConvergenceError as exc:
-        partial = {"error": str(exc)}
-        if exc.result is not None:
-            partial["best_objective"] = exc.result.objective
-            partial["best_gap"] = exc.result.gap
-        report.set_section("sdp", partial)
-        return EXIT_SDP
-    except ValueError as exc:  # beyond a size cap, or a request the path refuses
+    except (SdpConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        report.set_section("sdp", {"error": str(exc)})
-        return EXIT_SDP
+        section = {"error": str(exc)}
+        if isinstance(exc, SdpConvergenceError) and exc.result is not None:
+            section["best_objective"] = exc.result.objective
+            section["best_gap"] = exc.result.gap
+        report.set_section("sdp", section)
+        return EXIT_SDP, partitions
+    payload = sol.to_json_dict()
+    payload["value"] = {"value": sol.value, "provenance": "sdp"}
+    payload["provenance"] = "sdp"  # applies to every number in this section
+    report.set_section("sdp", payload)
+    return EXIT_OK, partitions
 
 
 def cmd_simulate(args) -> int:
@@ -296,31 +311,21 @@ def cmd_robustness(args) -> int:
     try:
         doc = load_record_or_state(_resolve_data_path(args.input))
         if isinstance(doc, MeasurementRecord):
-            if not doc.has_full_group():
-                print(
-                    "error: PPT robustness needs a state, which requires the "
-                    "full stabilizer group (or a p-vector file); with "
-                    "generator-only data use the analytic bound rg_min from "
-                    "'stabverify analyze'",
-                    file=sys.stderr,
-                )
-                return EXIT_SDP
-            graph, frame, state = doc.graph, doc.frame, ml_fit(doc)
+            state = ml_fit(doc) if doc.has_full_group() else None
+            graph, frame = doc.graph, doc.frame
         else:
             graph, frame, state = doc
-        partitions = _parse_partitions(args.partitions, graph.n)
-        if partitions in (None, ALL_CUTS):
-            partitions = all_bipartitions(graph.n)
+        partitions = _parse_partitions(args.partitions, graph.n) or ALL_CUTS
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
     report = Report()
-    report.set_section("input", {
-        "path": args.input, "n": graph.n,
-        "partitions": [list(t) for t in partitions],
-    })
-    code = _run_sdp(report, state, graph, frame, partitions, args.method)
+    listing = {"path": args.input, "n": graph.n}
+    report.set_section("input", listing)
+    code, partitions = _run_sdp(report, state, graph, frame, partitions, args.method)
+    if partitions != ALL_CUTS:
+        listing["partitions"] = [list(t) for t in partitions]
     report.emit(args.format)
     return code
 
@@ -350,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="write a synthetic measurement record")
     ps.add_argument("--graph", required=True,
-                    help="path:N, paper4, paper6, or a graph JSON file")
+                    help=f"path:N, paper4, paper6, or a graph JSON file; at most "
+                         f"{MAX_SIMULATE_QUBITS} qubits, where simulate peaks at about "
+                         f"85 MB RSS")
     ps.add_argument("--frame", default=None,
                     help="identity (default), paper4, paper6, or a frame JSON file")
     ps.add_argument("--noise", action="append",

@@ -23,7 +23,6 @@ FRAME_PAPER6 = LocalFrame.from_tokens(
 )
 
 FRAME_PRESETS = {"paper4": FRAME_PAPER4, "paper6": FRAME_PAPER6}
-# canonical graph implied when a preset frame is combined with a plain
-# path spec of the matching size
-FRAME_PRESET_GRAPHS = {"paper4": GRAPH_PAPER4, "paper6": GRAPH_PAPER6}
+# graph presets, under the same names: a preset frame combined with a plain
+# path spec of the matching size implies its preset's vertex labeling
 GRAPH_PRESETS = {"paper4": GRAPH_PAPER4, "paper6": GRAPH_PAPER6}

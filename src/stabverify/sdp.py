@@ -9,19 +9,23 @@ Dual:  max -sum_T tr(Y_T rho^Gamma_T)  s.t.  Y_T >= 0, sum_T Y_T^Gamma_T <= I.
 Every returned solution carries a rescaled dual certificate that is verified
 post-hoc from the returned primal and dual points alone, never from solver
 slacks, so the reported duality gap is a rigorous bound regardless of solver
-internals.
+internals.  Each path computes the spectra and the dual bound in its own
+representation; one policy, ``_solution``, then checks them against
+``PSD_FLOOR`` and ``GAP_BOUND`` and builds every ``SdpSolution``, the
+trivial one (sigma = 0 for a state that is PPT on every cut) included.
 
-Two paths:
-  * ``ppt_robustness``: dense Hermitian sigma (4^n real coordinates), capped
-    at 5 qubits.  The coordinates are an index map into sigma's d x d matrix
-    (``_hermitian_coords``), and sigma >= 0 with every (rho + sigma)^Gamma_T
-    >= 0 is one ``PptBlock``: a stack of complex Hermitian d x d matrices,
-    paired with the dual stack by Re tr.  A partial transpose only permutes
-    matrix positions, so the block's slack, apply and adjoint are each one
-    scatter or gather, and its Schur term is a gather from products of two
-    entries of each scaling matrix, summed over the stack, as in the sparse
-    Schur assembly of Fujisawa, Kojima and Nakata, Math. Program. 79 (1997);
-    no basis matrix is built.  Certified by fresh dense eigensolves.
+Two paths, each over the given bipartitions or, for None, all of them:
+  * ``ppt_robustness(rho, partitions)``: dense Hermitian sigma (4^n real
+    coordinates), capped at 5 qubits.  The coordinates are an index map into
+    sigma's d x d matrix (``_hermitian_coords``), and sigma >= 0 with every
+    (rho + sigma)^Gamma_T >= 0 is one ``PptBlock``: a stack of complex
+    Hermitian d x d matrices, paired with the dual stack by Re tr.  A
+    partial transpose only permutes matrix positions, so the block's slack,
+    apply and adjoint are each one scatter or gather, and its Schur term is
+    a gather from products of two entries of each scaling matrix, summed
+    over the stack, as in the sparse Schur assembly of Fujisawa, Kojima and
+    Nakata, Math. Program. 79 (1997); no basis matrix is built.  Certified
+    by fresh dense eigensolves.
   * ``symmetry_reduced_robustness``: for graph-diagonal rho the optimum may
     be sought among graph-diagonal sigma (stabilizer twirling preserves
     feasibility and the objective), where every partial transpose is again
@@ -75,16 +79,21 @@ def all_bipartitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def canonical_partitions(n: int, partitions) -> list[tuple[int, ...]]:
+def canonical_partitions(n: int, partitions=None) -> list[tuple[int, ...]]:
+    """Each partition of {1..n} as the sorted side holding qubit 1, without
+    repeats; all bipartitions for None.  Both solver paths and the CLI's
+    --partitions go through here."""
     full = set(range(1, n + 1))
     seen = {}
-    for part in partitions:
+    for part in all_bipartitions(n) if partitions is None else partitions:
         s = set(part)
         if not s or s == full or not s <= full:
             raise ValueError(f"partition {sorted(s)} is not a proper nonempty subset of 1..{n}")
         if 1 not in s:
             s = full - s
         seen[tuple(sorted(s))] = None
+    if not seen:
+        raise ValueError("need at least one partition")
     return list(seen)
 
 
@@ -97,27 +106,6 @@ def check_solver_size(n: int, method: str) -> None:
             f"the {method} robustness path is capped at dimension {cap} "
             f"({cap.bit_length() - 1} qubits); this state has {n} qubits"
         )
-
-
-@dataclass(frozen=True)
-class RobustnessProblem:
-    rho: np.ndarray
-    partitions: list
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=np.complex128)
-        d = rho.shape[0] if rho.ndim else 0
-        if rho.shape != (d, d) or not d or d & (d - 1):
-            raise ValueError("rho must be square with power-of-2 dimension")
-        n = d.bit_length() - 1
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(
-            self, "partitions", canonical_partitions(n, self.partitions)
-        )
-
-    @property
-    def n(self) -> int:
-        return self.rho.shape[0].bit_length() - 1
 
 
 @dataclass
@@ -225,8 +213,6 @@ class PptBlock:
     formed.
     """
 
-    kind = "sdp"
-
     def __init__(self, rho, partitions):
         d = rho.shape[0]
         self.base, self.index, self.scale, self.weights = _hermitian_coords(d)
@@ -298,31 +284,47 @@ class PptBlock:
         return self.weights * r[np.ix_(self.index, self.index)]
 
 
-def _certify(rho, sigma, partitions, raw_multipliers, method, iterations):
-    """Post-hoc feasibility and weak-duality check with fresh eigensolves.
+def _solution(value, sigma_min, cut_mins, dual_value, partitions, iterations,
+              method, operators) -> SdpSolution:
+    """The certificate policy that every returned solution passes.
+
+    sigma_min and cut_mins (one per partition) are the smallest eigenvalues
+    of sigma and of each (rho + sigma)^Gamma_T, and dual_value the rescaled
+    dual bound, all freshly computed by the caller (``_certify``,
+    ``_certify_weights``); none may come from solver slacks.  Each eigenvalue
+    must reach ``PSD_FLOOR`` and the certified gap value - dual_value must lie
+    within ``GAP_BOUND``; a NaN fails every check.
+    """
+    if not sigma_min >= PSD_FLOOR:
+        raise SdpConvergenceError(f"sigma not PSD ({sigma_min:.3e})")
+    min_eigs = dict(zip(partitions, cut_mins))
+    for part, w in min_eigs.items():
+        if not w >= PSD_FLOOR:
+            raise SdpConvergenceError(f"(rho+sigma)^Gamma not PSD on {part} ({w:.3e})")
+    gap = value - dual_value
+    if not -1e-9 <= gap <= GAP_BOUND * (1.0 + abs(value)):
+        raise SdpConvergenceError(f"certified duality gap {gap:.3e} exceeds tolerance")
+    return SdpSolution(
+        value=value,
+        duality_gap=gap,
+        dual_value=dual_value,
+        partitions=list(partitions),
+        min_eigs=min_eigs,
+        sigma_min_eig=sigma_min,
+        iterations=iterations,
+        method=method,
+        operators=operators,
+    )
+
+
+def _certify(rho, sigma, partitions, raw_multipliers, iterations) -> SdpSolution:
+    """The dense path's spectra and dual bound, by fresh eigensolves.
 
     raw_multipliers: complex Hermitian Y_T per partition (any roundoff);
     they are clipped to the PSD cone and rescaled so sum Y_T^Gamma <= I holds
     exactly, which turns them into a rigorous dual bound.
-
-    This is the dense path's check.  The reduced path is certified by
-    ``_certify_weights``, the same checks on weight vectors through the exact
-    diagonal identity spectrum((sum_j v_j |j><j|)^Gamma_T) = M_T v.
     """
     d = rho.shape[0]
-    value = float(np.trace(sigma).real)
-    ws, _ = eig_hermitian(sigma)
-    sigma_min = float(ws[0])
-    if sigma_min < PSD_FLOOR:
-        raise SdpConvergenceError(f"sigma not PSD ({sigma_min:.3e})")
-    min_eigs = {}
-    for part in partitions:
-        w, _ = eig_hermitian(partial_transpose(rho + sigma, part))
-        min_eigs[part] = float(w[0])
-        if w[0] < PSD_FLOOR:
-            raise SdpConvergenceError(
-                f"(rho+sigma)^Gamma not PSD on {part} ({w[0]:.3e})"
-            )
     clipped = []
     for Y in raw_multipliers:
         w, V = eig_hermitian(Y)
@@ -339,21 +341,10 @@ def _certify(rho, sigma, partitions, raw_multipliers, method, iterations):
         trace_inner(Y, partial_transpose(rho, part))
         for part, Y in zip(partitions, certificate)
     )
-    gap = value - dual_value
-    if gap > GAP_BOUND * (1.0 + abs(value)) or gap < -1e-9:
-        raise SdpConvergenceError(
-            f"certified duality gap {gap:.3e} exceeds tolerance"
-        )
-    return SdpSolution(
-        value=value,
-        duality_gap=gap,
-        dual_value=dual_value,
-        partitions=list(partitions),
-        min_eigs=min_eigs,
-        sigma_min_eig=sigma_min,
-        iterations=iterations,
-        method=method,
-        operators=lambda: (sigma, certificate),
+    return _solution(
+        float(np.trace(sigma).real), float(eig_hermitian(sigma)[0][0]),
+        [ppt_min_eig(rho + sigma, part) for part in partitions], dual_value,
+        partitions, iterations, "dense", lambda: (sigma, certificate),
     )
 
 
@@ -363,28 +354,22 @@ def _zero_operators(d, count):
 
 
 def _trivial_solution(d, partitions, min_eigs, method):
-    return SdpSolution(
-        value=0.0,
-        duality_gap=0.0,
-        dual_value=0.0,
-        partitions=list(partitions),
-        min_eigs=dict(zip(partitions, min_eigs)),
-        sigma_min_eig=0.0,
-        iterations=0,
-        method=method,
-        operators=partial(_zero_operators, d, len(partitions)),
-    )
+    """sigma = 0 for a state that is PPT on every cut: value and bound 0."""
+    return _solution(0.0, 0.0, min_eigs, 0.0, partitions, 0, method,
+                     partial(_zero_operators, d, len(partitions)))
 
 
-def ppt_robustness(problem: RobustnessProblem) -> SdpSolution:
-    """Dense-path PPT robustness with a verified dual certificate."""
-    check_solver_size(problem.n, "dense")
-    rho = problem.rho
-    d = rho.shape[0]
+def ppt_robustness(rho, partitions=None) -> SdpSolution:
+    """Dense-path PPT robustness of the density matrix rho over the given
+    bipartitions (all of them for None), with a verified dual certificate."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    d = rho.shape[0] if rho.ndim else 0
+    if rho.shape != (d, d) or not d or d & (d - 1):
+        raise ValueError("rho must be square with power-of-2 dimension")
+    n = d.bit_length() - 1
+    check_solver_size(n, "dense")
     _check_density(rho)
-    partitions = problem.partitions
-    if not partitions:
-        raise ValueError("need at least one partition")
+    partitions = canonical_partitions(n, partitions)
     pt_eigs = [ppt_min_eig(rho, part) for part in partitions]
     if min(pt_eigs) >= -1e-12:
         return _trivial_solution(d, partitions, pt_eigs, "dense")
@@ -394,8 +379,7 @@ def ppt_robustness(problem: RobustnessProblem) -> SdpSolution:
     c[:d] = 1.0  # tr(sigma): the diagonal coordinates come first
     x0 = (0.5 + 2.0 * max(0.0, -min(pt_eigs))) * c  # sigma starts at t0 * identity
     res = solve_conic(c, block, x0)
-    return _certify(rho, block.hermitian(res.x), partitions, res.dual[1:], "dense",
-                    res.iterations)
+    return _certify(rho, block.hermitian(res.x), partitions, res.dual[1:], res.iterations)
 
 
 # ----------------------------------------------------------------------
@@ -450,8 +434,6 @@ class CutBlock:
     mask of each partition (see ``_cut_masks``), p the weights of rho.
     """
 
-    kind = "lp"
-
     def __init__(self, ymask: np.ndarray, tmask: np.ndarray, p: np.ndarray):
         dim = ymask.size
         idx = np.arange(dim)
@@ -494,7 +476,7 @@ def _graph_diagonal_operators(sigma_weights, certificate_weights, graph, frame):
 
 
 def _certify_weights(p, q, raw_multipliers, signs, partitions, iterations,
-                     graph, frame):
+                     graph, frame) -> SdpSolution:
     """Diagonal counterpart of ``_certify`` on graph-basis weight vectors.
 
     rho, sigma and every Y_T are graph-diagonal with weights p, q and the
@@ -504,37 +486,15 @@ def _certify_weights(p, q, raw_multipliers, signs, partitions, iterations,
     solver slacks.  The y_T are clipped at 0 and rescaled so the dual
     constraint sum_T Y_T^Gamma_T <= I holds, as in ``_certify``.
     """
-    value = float(q.sum())
-    sigma_min = float(q.min())
-    if sigma_min < PSD_FLOOR:
-        raise SdpConvergenceError(f"sigma not PSD ({sigma_min:.3e})")
-    min_eigs = {}
-    for part, w in zip(partitions, _cut_products(signs, p + q)):
-        min_eigs[part] = float(w.min())
-        if w.min() < PSD_FLOOR:
-            raise SdpConvergenceError(
-                f"(rho+sigma)^Gamma not PSD on {part} ({w.min():.3e})"
-            )
     clipped = np.maximum(raw_multipliers, 0.0)
     theta = max(0.0, float(_cut_adjoint(signs, clipped).max()) - 1.0)
     certificate = clipped / (1.0 + theta)
     dual_value = -float(np.sum(certificate * _cut_products(signs, p)))
-    gap = value - dual_value
-    if gap > GAP_BOUND * (1.0 + abs(value)) or gap < -1e-9:
-        raise SdpConvergenceError(
-            f"certified duality gap {gap:.3e} exceeds tolerance"
-        )
-    return SdpSolution(
-        value=value,
-        duality_gap=gap,
-        dual_value=dual_value,
-        partitions=list(partitions),
-        min_eigs=min_eigs,
-        sigma_min_eig=sigma_min,
-        iterations=iterations,
-        method="reduced",
-        operators=partial(_graph_diagonal_operators, q, list(certificate),
-                          graph, frame),
+    return _solution(
+        float(q.sum()), float(q.min()),
+        [float(w.min()) for w in _cut_products(signs, p + q)], dual_value,
+        partitions, iterations, "reduced",
+        partial(_graph_diagonal_operators, q, list(certificate), graph, frame),
     )
 
 
@@ -560,11 +520,7 @@ def symmetry_reduced_robustness(
     if p.min() < -1e-10 or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("state must be a physical population vector")
     frame = frame or LocalFrame.identity(n)
-    partitions = canonical_partitions(
-        n, partitions if partitions is not None else all_bipartitions(n)
-    )
-    if not partitions:
-        raise ValueError("need at least one partition")
+    partitions = canonical_partitions(n, partitions)
     D = 1 << n
     cuts = CutBlock(*_cut_masks(graph, frame, partitions), p)
     offsets = cuts.g0.reshape(cuts.signs.shape)[1:]  # row T: spectrum of rho^Gamma_T

@@ -5,24 +5,26 @@
          or     g0 + G x  >= 0                         (an orthant)
 
 Mehrotra predictor-corrector with Nesterov-Todd scaling.  The constraint is
-one block: an object with ``kind`` ("sdp" or "lp"), ``slack(x)``,
-``apply(dx)``, ``adjoint(Z)`` and ``schur(W)``.  An SDP block's slack is a
-(k, d, d) stack of Hermitian matrices, paired with its dual by Re tr summed
-over the stack, and its Schur term at the stack W of scaling matrices is
-[sum_j Re tr(F_ij W_j F_kj W_j)]_ik.  An orthant block's slack is a vector,
-and its Schur term at the scaling vector W is G' diag(W) G.  The solver never
-sees the F_ij or G, so each block applies its constraint in its own structure
-(``sdp.PptBlock``, ``sdp.CutBlock``).  The whole stack is scaled with batched
-LAPACK ``eigh`` and its step lengths are read from one batched ``eigvalsh``.
-A Cholesky factorization checks that the Schur matrix is positive definite;
-each Newton system is then solved by ``np.linalg.solve`` (numpy has no
-triangular solve).
+one block: an object with ``slack(x)``, ``apply(dx)``, ``adjoint(Z)`` and
+``schur(W)``, whose cone the solver reads from the shape of the slack.  A
+(k, d, d) slack is a stack of Hermitian matrices in the PSD cone, paired
+with its dual by Re tr summed over the stack, and its Schur term at the
+stack W of scaling matrices is [sum_j Re tr(F_ij W_j F_kj W_j)]_ik.  A vector
+slack lies in the orthant, and its Schur term at the scaling vector W is
+G' diag(W) G.  The solver never sees the F_ij or G, so each block applies
+its constraint in its own structure (``sdp.PptBlock``, ``sdp.CutBlock``).
+The whole stack is scaled with batched LAPACK ``eigh`` and its step lengths
+are read from one batched ``eigvalsh``.  A Cholesky factorization checks
+that the Schur matrix is positive definite; each Newton system is then
+solved by ``np.linalg.solve`` (numpy has no triangular solve).
 
 The dual starts at 1 on each orthant entry and at 2 I on each d x d matrix,
 with d barrier terms per matrix: the identity start of the same program
 posed over real symmetric 2d x 2d embeddings, so both give the same iterates.
-Step control: fraction-to-boundary ``STEP_FRAC``, at most 200 iterations by
+Step control: fraction-to-boundary ``STEP_FRAC``, at most 200 steps by
 default, relative complementarity-gap and dual-residual target ``GAP_TOL``.
+Every iterate, the start and the one after the last step included, is
+tested for convergence and kept if it is the best so far.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class SdpConvergenceError(RuntimeError):
 @dataclass
 class IpmResult:
     x: np.ndarray
-    slack: np.ndarray
     dual: np.ndarray
     gap: float
     dual_residual: float
@@ -84,11 +85,12 @@ def solve_conic(
     x0: np.ndarray,
     max_iter: int = 200,
 ) -> IpmResult:
-    """Run the predictor-corrector IPM from a strictly feasible primal x0."""
+    """Run the predictor-corrector IPM from a strictly feasible primal x0,
+    for at most max_iter steps."""
     c = np.asarray(c, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
-    psd = block.kind == "sdp"
     S = block.slack(x)
+    psd = S.ndim == 3
     if psd:
         Z = _diag(np.full(S.shape[:2], 2.0))
         nu = S.shape[0] * S.shape[1]
@@ -101,13 +103,13 @@ def solve_conic(
     def pairing(S, Z):
         return float(np.vdot(S, Z).real)
 
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         gap = pairing(S, Z)
         rd = c - block.adjoint(Z)
         obj = float(c @ x)
         rd_norm = float(np.linalg.norm(rd, np.inf))
         result = IpmResult(
-            x=x.copy(), slack=S, dual=Z, gap=gap,
+            x=x.copy(), dual=Z, gap=gap,
             dual_residual=rd_norm, objective=obj, iterations=it, converged=False,
         )
         if best is None or gap + rd_norm < best.gap + best.dual_residual:
@@ -117,6 +119,8 @@ def solve_conic(
         ):
             result.converged = True
             return result
+        if it == max_iter:
+            break
         mu = gap / nu
 
         # NT scaling: the scaled point lam is diagonal.  An SDP stack keeps
@@ -190,14 +194,6 @@ def solve_conic(
         Z = Z + ad * dZ
         S = block.slack(x)
 
-    gap = pairing(S, Z)
-    final = IpmResult(
-        x=x, slack=S, dual=Z, gap=gap,
-        dual_residual=float(np.linalg.norm(c - block.adjoint(Z), np.inf)),
-        objective=float(c @ x), iterations=max_iter, converged=False,
-    )
-    if best is not None and best.gap + best.dual_residual < final.gap + final.dual_residual:
-        final = best
     raise SdpConvergenceError(
-        f"no convergence after {max_iter} iterations (gap {final.gap:.3e})", final
+        f"no convergence after {max_iter} iterations (gap {best.gap:.3e})", best
     )

@@ -15,7 +15,6 @@ from stabverify import (
     GeneratorData,
     Graph,
     NoiseModel,
-    RobustnessProblem,
     all_bipartitions,
     apply_noise,
     er_lower_from_state,
@@ -126,11 +125,11 @@ def test_criterion_4_sdp_sanity():
         np.linalg.eigvalsh(np.eye(4) - partial_transpose(Y, [1]))[0] > -1e-10
         and abs(-np.trace(Y @ partial_transpose(rho_bell, [1])).real - 1.0) < 1e-12
     )
-    sol_bell = ppt_robustness(RobustnessProblem(rho_bell, [[1]]))
+    sol_bell = ppt_robustness(rho_bell, [[1]])
 
     t_dense = time.perf_counter()
     v4 = graph_state_vector(sv.GRAPH_PAPER4, sv.FRAME_PAPER4)
-    sol4 = ppt_robustness(RobustnessProblem(np.outer(v4, v4.conj()), all_bipartitions(4)))
+    sol4 = ppt_robustness(np.outer(v4, v4.conj()), all_bipartitions(4))
     t_dense = time.perf_counter() - t_dense
 
     t_red = time.perf_counter()
@@ -145,7 +144,7 @@ def test_criterion_4_sdp_sanity():
     for n, graph in ((2, Graph.path(2)), (3, Graph.path(3))):
         p = rng.dirichlet(np.ones(1 << n))
         rho = sv.graph_diagonal_operator(p, graph)
-        vd = ppt_robustness(RobustnessProblem(rho, all_bipartitions(n))).value
+        vd = ppt_robustness(rho, all_bipartitions(n)).value
         vr = symmetry_reduced_robustness(p, graph).value
         agree.append(abs(vd - vr))
 

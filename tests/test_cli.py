@@ -81,6 +81,37 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("frame", ["file", "paper4"])
+    def test_frame_for_another_qubit_count_exits_2_naming_it(self, tmp_path, capsys, frame):
+        if frame == "file":
+            frame = str(tmp_path / "frame1.json")
+            Path(frame).write_text(json.dumps([{"X": "+Z", "Z": "+X"}]))
+        code, out, err = run_cli(capsys, "simulate", "--graph", "path:2", "--frame", frame,
+                                 "--out", str(tmp_path / "x.json"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --frame {frame} lists ") and "the graph has 2" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("graph", ["path:17", "path:40", "file"])
+    def test_beyond_the_qubit_cap_exits_2_at_once(self, tmp_path, capsys, monkeypatch, graph):
+        # the state's 2^n populations are never formed (8 TiB at 40 qubits),
+        # nor is the path itself, which costs O(n) for path:1000000000
+        def refuse(n):
+            raise AssertionError(f"Graph.path({n}) built beyond the cap")
+
+        monkeypatch.setattr(stabverify.Graph, "path", refuse)
+        if graph == "file":
+            graph = str(tmp_path / "graph.json")
+            Path(graph).write_text(json.dumps({"n": 40, "edges": [[1, 2]]}))
+        out = tmp_path / "x.json"
+        start = time.perf_counter()
+        code, stdout, err = run_cli(capsys, "simulate", "--graph", graph,
+                                    "--indices", "generators", "--out", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith("error: simulate is capped at 16 qubits")
+        assert len(err.splitlines()) == 1
+
     def test_paper6_preset_generators_match_bundled_table(self, tmp_path, capsys):
         out = tmp_path / "p6.json"
         code, _, _ = run_cli(
@@ -160,6 +191,25 @@ class TestRobustnessCommand:
         code, rep, _ = run_json(capsys, "robustness", f, "--partitions", "1")
         assert code == 0
         assert abs(rep["sdp"]["value"]["value"] - 1.0) < 1e-5
+
+    def test_refused_certificate_exits_3_with_a_report(self, tmp_path, capsys, monkeypatch):
+        import stabverify.sdp as sdp
+
+        real = sdp.solve_conic
+
+        def zero_dual(c, block, x0):
+            res = real(c, block, x0)
+            res.dual = 0.0 * res.dual
+            return res
+
+        monkeypatch.setattr(sdp, "solve_conic", zero_dual)
+        f = self.write_state(tmp_path, 2, [[1, 2]], [1.0, 0.0, 0.0, 0.0])
+        code, out, err = run_cli(capsys, "robustness", f, "--format", "json")
+        assert code == 3
+        assert err.startswith("error: certified duality gap") and len(err.splitlines()) == 1
+        rep = strict_json(out)
+        assert rep["input"]["partitions"] == [[1]]
+        assert rep["sdp"] == {"error": err.removeprefix("error: ").strip()}
 
 
 class TestNonBipartiteGraph:
@@ -248,10 +298,11 @@ class TestAnalyzeErrors:
         out = tmp_path / "gen.json"
         run_cli(capsys, "simulate", "--graph", "path:4", "--indices", "generators",
                 "--shots", "200", "--seed", "2", "--out", str(out))
-        code, rep, _ = run_json(capsys, "analyze", str(out), "--partitions", "all",
-                                "--trials", "1000")
+        code, rep, err = run_json(capsys, "analyze", str(out), "--partitions", "all",
+                                  "--trials", "1000")
         assert code == 3
         assert "error" in rep["sdp"]
+        assert err == f"error: {rep['sdp']['error']}\n"
         assert "generator_bounds" in rep  # partial report still emitted
 
 
@@ -492,11 +543,17 @@ class TestLargeGeneratorRecord:
         assert bounds["er_min"]["value"] == pytest.approx(32 - entropy, rel=1e-12)
 
     def test_robustness_exits_3(self, tmp_path, capsys):
+        # the default 'all' names 2^63 - 1 cuts: never listed without a state
         f, _ = self.write_record(tmp_path)
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, "robustness", str(f), "--format", "json")
+        assert time.perf_counter() - start < 1.0
         assert code == 3
+        assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "full stabilizer group" in err
-        assert "Traceback" not in err
+        rep = strict_json(out)
+        assert rep["input"]["n"] == self.N
+        assert "full stabilizer group" in rep["sdp"]["error"]
 
 
 class TestHugeGeneratorRecord:

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 import stabverify as sv
 from stabverify import (
     Graph,
-    RobustnessProblem,
     SdpConvergenceError,
     all_bipartitions,
     graph_diagonal_operator,
@@ -25,8 +24,6 @@ class SdpBlock:
     """Dense oracle block: x -> F0 + sum_i x_i F[i] into a (k, m, m) stack of
     Hermitian matrices, paired by Re tr, with every product formed in full
     from the (dim, k, m, m) F stack."""
-
-    kind = "sdp"
 
     def __init__(self, F0: np.ndarray, F: np.ndarray):
         self.F0 = F0
@@ -142,6 +139,16 @@ class TestSolverCore:
         assert ei.value.result is not None
         assert ei.value.result.gap >= 0
 
+    def test_iterate_after_the_last_step_is_tested(self):
+        # max_iter steps reach iterate max_iter, which is tested like the rest
+        c = np.ones(1)
+        block = SdpBlock(np.array([[[-1.0]]]), np.array([[[[1.0]]]]))
+        steps = solve_conic(c, block, np.array([2.0])).iterations
+        res = solve_conic(c, block, np.array([2.0]), max_iter=steps)
+        assert res.converged and res.iterations == steps
+        with pytest.raises(SdpConvergenceError, match=f"after {steps - 1} iterations"):
+            solve_conic(c, block, np.array([2.0]), max_iter=steps - 1)
+
 
 def unit_bounded(shape):
     return arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
@@ -182,7 +189,7 @@ def test_ppt_block_matches_dense_oracle(data):
 class TestBellOracle:
     def test_value_against_hand_constructions(self):
         rho = bell_density()
-        sol = ppt_robustness(RobustnessProblem(rho, [[1]]))
+        sol = ppt_robustness(rho, [[1]])
         # primal witness: the singlet projector is feasible with trace 1
         sig = singlet_projector()
         assert np.linalg.eigvalsh(sig)[0] > -1e-12
@@ -235,7 +242,7 @@ class TestBellOracle:
         assert best >= 1.0 - 1e-4
 
     def test_certificate_fields(self):
-        sol = ppt_robustness(RobustnessProblem(bell_density(), [[1]]))
+        sol = ppt_robustness(bell_density(), [[1]])
         assert sol.duality_gap <= 1e-6 * (1 + abs(sol.value))
         assert sol.dual_value <= sol.value + 1e-12
         assert sol.sigma_min_eig >= -1e-8
@@ -247,6 +254,43 @@ class TestBellOracle:
         assert np.linalg.eigvalsh(slack)[0] >= -1e-10
         recomputed = -np.trace(Y @ partial_transpose(bell_density(), [1])).real
         assert abs(recomputed - sol.dual_value) < 1e-10
+
+
+def _tamper(check, method):
+    """solve_conic with its returned iterate spoiled so that one certificate
+    check must refuse it."""
+    real = solve_conic
+
+    def tampered(c, block, x0):
+        res = real(c, block, x0)
+        if check == "sigma":
+            # dense: sigma - 1e-3 I.  The reduced path clips negative weights
+            # at 0, so there only a NaN weight is a sigma that is not PSD.
+            res.x = res.x - (1e-3 if method == "dense" else np.nan) * c
+        elif check == "cut":
+            res.x = 0.5 * res.x  # half the optimal sigma leaves the cut NPT
+        else:
+            res.dual = 0.0 * res.dual  # a zero dual bound against value 1
+        return res
+
+    return tampered
+
+
+@pytest.mark.parametrize("method", ["dense", "reduced"])
+@pytest.mark.parametrize("check,message", [
+    ("sigma", r"^sigma not PSD \("),
+    ("cut", r"^\(rho\+sigma\)\^Gamma not PSD on \(1,\) \("),
+    ("gap", r"^certified duality gap .* exceeds tolerance$"),
+], ids=["sigma", "cut", "gap"])
+def test_certificate_refuses_a_tampered_iterate(monkeypatch, method, check, message):
+    import stabverify.sdp as sdp
+
+    monkeypatch.setattr(sdp, "solve_conic", _tamper(check, method))
+    with pytest.raises(SdpConvergenceError, match=message):
+        if method == "dense":
+            ppt_robustness(bell_density(), [[1]])
+        else:
+            symmetry_reduced_robustness(np.eye(4)[0], Graph.path(2))
 
 
 class TestPptMinEig:
@@ -271,7 +315,7 @@ class TestPptMinEig:
 class TestDensePath:
     def test_separable_diagonal_is_zero(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        sol = ppt_robustness(RobustnessProblem(rho, all_bipartitions(2)))
+        sol = ppt_robustness(rho, all_bipartitions(2))
         assert sol.value == 0.0
         assert sol.iterations == 0
         assert np.allclose(sol.sigma, 0)
@@ -291,7 +335,7 @@ class TestDensePath:
         b = sv.two_coloring(graph).b_size
         v = graph_state_vector(graph)
         rho = np.outer(v, v.conj())
-        sol = ppt_robustness(RobustnessProblem(rho, all_bipartitions(n)))
+        sol = ppt_robustness(rho, all_bipartitions(n))
         assert abs(sol.value - (2 ** b - 1)) < 1e-4
 
     def test_noisy_cluster_iterations_and_reduced_agreement(self, paper4):
@@ -300,7 +344,7 @@ class TestDensePath:
         for z in (0.02, 0.05, 0.08):
             p = apply_noise(graph, NoiseModel((z, z + 0.004, z - 0.003, z + 0.002), 0.02)).p
             rho = graph_diagonal_operator(p, graph, frame)
-            sol = ppt_robustness(RobustnessProblem(rho, all_bipartitions(4)))
+            sol = ppt_robustness(rho, all_bipartitions(4))
             reduced = symmetry_reduced_robustness(p, graph, frame)
             assert sol.iterations == 10
             assert abs(sol.value - reduced.value) <= 1e-8 * reduced.value
@@ -311,35 +355,35 @@ class TestDensePath:
         parts = all_bipartitions(3)
         prev = -1.0
         for stop in range(1, len(parts) + 1):
-            val = ppt_robustness(RobustnessProblem(rho, parts[:stop])).value
+            val = ppt_robustness(rho, parts[:stop]).value
             assert val >= prev - 1e-7
             prev = val
 
     def test_partition_reordering_and_complement_invariance(self):
         p, rho = rand_graph_diag(3, Graph.path(3), seed=4)
         parts = all_bipartitions(3)
-        v1 = ppt_robustness(RobustnessProblem(rho, parts)).value
+        v1 = ppt_robustness(rho, parts).value
         flipped = [tuple(sorted(set(range(1, 4)) - set(t))) for t in reversed(parts)]
-        v2 = ppt_robustness(RobustnessProblem(rho, flipped)).value
+        v2 = ppt_robustness(rho, flipped).value
         assert abs(v1 - v2) < 1e-8
 
     def test_rejects_bad_inputs(self):
         bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="PSD"):
-            ppt_robustness(RobustnessProblem(bad, [[1]]))
+            ppt_robustness(bad, [[1]])
         rho = np.diag([0.6, 0.6, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="trace"):
-            ppt_robustness(RobustnessProblem(rho, [[1]]))
+            ppt_robustness(rho, [[1]])
         with pytest.raises(ValueError, match="proper"):
             canonical_partitions(2, [[1, 2]])
         big = np.eye(128, dtype=complex) / 128
         with pytest.raises(ValueError, match="capped"):
-            ppt_robustness(RobustnessProblem(big, [[1]]))
+            ppt_robustness(big, [[1]])
 
     @pytest.mark.parametrize("shape", [(4,), (4, 4, 4)], ids=["1d", "3d"])
     def test_rejects_rho_that_is_not_a_matrix(self, shape):
         with pytest.raises(ValueError, match="square"):
-            RobustnessProblem(np.ones(shape), [[1]])
+            ppt_robustness(np.ones(shape), [[1]])
 
 
 class TestReducedPath:
@@ -368,7 +412,7 @@ class TestReducedPath:
         parts = all_bipartitions(n)
         for seed in range(3):
             p, rho = rand_graph_diag(n, graph, seed=10 + seed)
-            vd = ppt_robustness(RobustnessProblem(rho, parts)).value
+            vd = ppt_robustness(rho, parts).value
             vr = symmetry_reduced_robustness(p, graph, partitions=parts).value
             assert abs(vd - vr) < 1e-5
 
@@ -376,7 +420,7 @@ class TestReducedPath:
         graph = Graph.path(3)
         p, rho = rand_graph_diag(3, graph, seed=21)
         for part in all_bipartitions(3):
-            vd = ppt_robustness(RobustnessProblem(rho, [part])).value
+            vd = ppt_robustness(rho, [part]).value
             vr = symmetry_reduced_robustness(p, graph, partitions=[part]).value
             assert abs(vd - vr) < 1e-6
 
@@ -386,7 +430,7 @@ class TestReducedPath:
         for _ in range(2):
             p = rng.dirichlet(np.ones(16))
             rho = graph_diagonal_operator(p, graph, frame)
-            vd = ppt_robustness(RobustnessProblem(rho, all_bipartitions(4))).value
+            vd = ppt_robustness(rho, all_bipartitions(4)).value
             vr = symmetry_reduced_robustness(p, graph, frame).value
             assert abs(vd - vr) < 1e-6
 
