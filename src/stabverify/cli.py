@@ -110,7 +110,11 @@ def _parse_graph(spec: str, frame_name: str | None = None) -> Graph:
     if spec in GRAPH_PRESETS:
         return GRAPH_PRESETS[spec]
     if spec.startswith("path:"):
-        n = _simulable(int(spec.split(":", 1)[1]))
+        try:
+            n = int(spec[len("path:"):])
+        except ValueError:
+            raise ValueError(f"--graph {spec!r}: expected path:N with N a whole number") from None
+        _simulable(n)
         # a preset frame pins the vertex labeling of its own chain
         if frame_name in GRAPH_PRESETS and GRAPH_PRESETS[frame_name].n == n:
             return GRAPH_PRESETS[frame_name]
@@ -134,6 +138,13 @@ def _parse_frame(spec: str | None, n: int) -> LocalFrame:
     return frame
 
 
+def _noise_number(text: str, spec: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--noise {spec!r}: {text!r} is not a number") from None
+
+
 def _parse_noise(specs, n: int) -> NoiseModel:
     eps = [0.0] * n
     w = 0.0
@@ -141,7 +152,7 @@ def _parse_noise(specs, n: int) -> NoiseModel:
         key, _, val = spec.partition("=")
         key = key.strip().lower()
         if key == "z":
-            parts = [float(v) for v in val.split(",")]
+            parts = [_noise_number(v, spec) for v in val.split(",")]
             if len(parts) == 1:
                 eps = [parts[0]] * n
             elif len(parts) == n:
@@ -149,7 +160,7 @@ def _parse_noise(specs, n: int) -> NoiseModel:
             else:
                 raise ValueError(f"noise z= needs 1 or {n} values, got {len(parts)}")
         elif key == "w":
-            w = float(val)
+            w = _noise_number(val, spec)
         else:
             raise ValueError(f"unknown noise component {key!r} (use z= or w=)")
     return NoiseModel(tuple(eps), w)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,7 @@ class RecordFormatError(ValueError):
     """Malformed measurement-record content (carries a field diagnostic)."""
 
 
-@dataclass(frozen=True)
-class MeasurementEntry:
+class MeasurementEntry(NamedTuple):
     value: float
     sigma: float
     shots: int | None = None
@@ -87,9 +87,9 @@ class MeasurementRecord:
         dim = 1 << self.n
         m = np.ones(dim)
         s = np.zeros(dim)
-        for k, e in self.entries.items():
-            m[k] = e.value
-            s[k] = e.sigma
+        k = np.fromiter(self.entries, np.int64, len(self.entries))
+        m[k] = np.fromiter((e.value for e in self.entries.values()), np.float64, k.size)
+        s[k] = np.fromiter((e.sigma for e in self.entries.values()), np.float64, k.size)
         return m, s
 
     def generator_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,20 +187,31 @@ def raw_purity(m: np.ndarray) -> float:
     return float((m ** 2).sum() / m.size)
 
 
-def _entry_sigma(e: MeasurementEntry) -> float:
-    """Uncertainty used for fit weights.
+def _fit_data(record: MeasurementRecord) -> tuple:
+    """(k, value, weight) arrays of the non-identity entries, in index order.
 
-    A sample mean of exactly +/-1 has zero binomial estimate but still an
-    O(1/shots) true uncertainty, so shots-derived sigmas are floored there.
+    The weight is 1/sigma^2.  Where an entry has shots, its sigma is at least
+    the binomial estimate and 1/shots: a sample mean of exactly +/-1 has zero
+    binomial estimate but still an O(1/shots) true uncertainty.
     """
-    sigma = e.sigma
-    if e.shots:
-        derived = float(np.sqrt(max(1.0 - e.value ** 2, 0.0) / e.shots))
-        sigma = max(sigma, derived, 1.0 / e.shots)
-    return sigma
+    entries = record.entries.values()
+    k = np.fromiter(record.entries, np.int64, len(entries))
+    value = np.fromiter((e.value for e in entries), np.float64, k.size)
+    sigma = np.fromiter((e.sigma for e in entries), np.float64, k.size)
+    shots = np.fromiter((e.shots or np.nan for e in entries), np.float64, k.size)
+    # fmax skips the NaN floors of entries without shots
+    sigma = np.fmax(sigma, np.fmax(np.sqrt(np.maximum(1.0 - value ** 2, 0.0) / shots),
+                                   1.0 / shots))
+    order = np.argsort(k)
+    order = order[k[order] != 0]
+    k, value, sigma = k[order], value[order], sigma[order]
+    if (sigma <= 0).any():
+        raise ValueError(f"entry {k[np.argmax(sigma <= 0)]} needs a positive sigma "
+                         "(or shots) for the fit")
+    return k, value, 1.0 / sigma ** 2
 
 
-ML_MAX_ITER = 1_000_000  # cap on ml_fit's projected-gradient iterations
+ML_MAX_ITER = 1_000_000  # cap on ml_fit's FISTA iterations
 ML_TOL = 1e-9            # ml_fit's KKT-residual target
 
 
@@ -208,39 +219,19 @@ def ml_fit(record: MeasurementRecord, start: np.ndarray | None = None) -> GraphD
     """Max-likelihood graph-diagonal state: weighted least squares on the simplex.
 
     Minimizes sum_k w_k (<S_k>_p - value_k)^2 with w_k = 1/sigma_k^2 over
-    physical populations p, by projected gradient with a fixed step from the
-    gradient's exact Lipschitz constant.  The identity entry is exact for any
-    p and is skipped.  Deterministic for the default uniform start.
+    physical populations p, by accelerated projected gradient (``kernels.pg_fit``:
+    FISTA with adaptive restart, step 1/L from the gradient's exact Lipschitz
+    constant L).  The identity entry is exact for any p and is skipped.
+    Deterministic for the default uniform start.
     """
     if not record.entries:
         raise ValueError("empty measurement record")
-    dim = 1 << record.n
-    idx = []
-    vals = []
-    wts = []
-    for k in record.measured_indices():
-        if k == 0:
-            continue
-        e = record.entries[k]
-        sigma = _entry_sigma(e)
-        if sigma <= 0:
-            raise ValueError(
-                f"entry {k} needs a positive sigma (or shots) for the fit"
-            )
-        idx.append(k)
-        vals.append(e.value)
-        wts.append(1.0 / sigma ** 2)
-    if not idx:
+    k, values, weights = _fit_data(record)
+    if not k.size:
         raise ValueError("record has no non-identity entries")
+    dim = 1 << record.n
     p0 = np.full(dim, 1.0 / dim) if start is None else np.asarray(start, dtype=float)
-    p, kkt, _ = kernels.pg_fit(
-        np.asarray(idx, dtype=np.int64),
-        np.asarray(vals, dtype=np.float64),
-        np.asarray(wts, dtype=np.float64),
-        p0.astype(np.float64),
-        ML_MAX_ITER,
-        ML_TOL,
-    )
+    p, kkt, _ = kernels.pg_fit(k, values, weights, p0.astype(np.float64), ML_MAX_ITER, ML_TOL)
     if kkt > ML_TOL:
         raise RuntimeError(f"fit did not reach the target residual ({kkt:.2e})")
     return GraphDiagonalState(p)
@@ -248,17 +239,9 @@ def ml_fit(record: MeasurementRecord, start: np.ndarray | None = None) -> GraphD
 
 def fit_objective(record: MeasurementRecord, p) -> float:
     """The weighted least-squares objective at populations p (normalized weights)."""
-    p = state_p(p)
-    m = expectations_from_populations(p)
-    num = 0.0
-    wsum = 0.0
-    for k, e in record.entries.items():
-        if k == 0:
-            continue
-        w = 1.0 / _entry_sigma(e) ** 2
-        num += w * (m[k] - e.value) ** 2
-        wsum += w
-    return num / wsum
+    k, values, weights = _fit_data(record)
+    m = expectations_from_populations(state_p(p))
+    return float(np.dot(weights, (m[k] - values) ** 2) / weights.sum())
 
 
 # ----------------------------------------------------------------------
@@ -289,68 +272,78 @@ _JSON_NUMBER = {float: (int, float), int: (int,)}
 _MAX_DOUBLE = sys.float_info.max
 
 
-def _row_number(row: dict, key: str, where: str, kind=float):
-    """row[key] as a finite float, or as an int for kind=int; nothing is coerced."""
-    v = row[key]
-    if type(v) not in _JSON_NUMBER[kind] or not -_MAX_DOUBLE <= v <= _MAX_DOUBLE:
-        expected = "an integer" if kind is int else "a finite number"
-        raise RecordFormatError(f"{where}: '{key}' must be {expected}, got {v!r}")
-    return kind(v)
+def _number_error(i: int, key: str, v, kind=float) -> RecordFormatError:
+    expected = "an integer" if kind is int else "a finite number"
+    return RecordFormatError(f"measurements[{i}]: '{key}' must be {expected}, got {v!r}")
 
 
-def _read_rows(d: dict, n: int) -> list:
-    """(k, entry) for each measurement row; k is still the text of a 'pauli' row."""
+def _read_rows(d: dict, n: int) -> tuple:
+    """(keys, entries, at) of the measurement rows, checked and built in one pass;
+    the key of each row listed in ``at`` is still its 'pauli' text.  Numbers are
+    never coerced: 'value', 'sigma' and 'shots' must be finite JSON numbers."""
     rows = d.get("measurements")
     if not isinstance(rows, list) or not rows:
         raise RecordFormatError("'measurements' must be a nonempty list of rows")
-    out = []
+    keys, entries, at = [], [], []
+    number = _JSON_NUMBER[float]
     for i, row in enumerate(rows):
-        where = f"measurements[{i}]"
         if not isinstance(row, dict):
-            raise RecordFormatError(f"{where}: must be an object")
+            raise RecordFormatError(f"measurements[{i}]: must be an object")
         if "value" not in row:
-            raise RecordFormatError(f"{where}: missing 'value'")
+            raise RecordFormatError(f"measurements[{i}]: missing 'value'")
         key = "k" if "k" in row else "pauli" if "pauli" in row else None
         if key is None:
-            raise RecordFormatError(f"{where}: need either 'k' or 'pauli'")
+            raise RecordFormatError(f"measurements[{i}]: need either 'k' or 'pauli'")
         k = row[key]
         if not isinstance(k, str):
-            raise RecordFormatError(f"{where}: '{key}' must be a string, got {k!r}")
+            raise RecordFormatError(f"measurements[{i}]: '{key}' must be a string, got {k!r}")
         if key == "k":
             if len(k) != n or not set(k) <= {"0", "1"}:
-                raise RecordFormatError(f"{where}: bad stabilizer index string {k!r} for n={n}")
+                raise RecordFormatError(
+                    f"measurements[{i}]: bad stabilizer index string {k!r} for n={n}")
             k = int(k[::-1], 2)  # character a is bit a
         else:
             k = k.strip().upper()
             if len(k) < n:
-                raise RecordFormatError(f"{where}: operator {k!r} has fewer than {n} qubits")
-        shots = _row_number(row, "shots", where, int) if "shots" in row else None
-        if shots is not None and shots < 1:
-            raise RecordFormatError(f"{where}: 'shots' must be at least 1, got {shots!r}")
-        out.append((k, MeasurementEntry(
-            value=_row_number(row, "value", where),
-            sigma=_row_number(row, "sigma", where) if "sigma" in row else 0.0,
-            shots=shots,
-        )))
-    return out
+                raise RecordFormatError(
+                    f"measurements[{i}]: operator {k!r} has fewer than {n} qubits")
+            at.append(i)
+        shots = row.get("shots")
+        if "shots" in row:
+            if type(shots) is not int or not -_MAX_DOUBLE <= shots <= _MAX_DOUBLE:
+                raise _number_error(i, "shots", shots, int)
+            if shots < 1:
+                raise RecordFormatError(
+                    f"measurements[{i}]: 'shots' must be at least 1, got {shots!r}")
+        value = row["value"]
+        if type(value) not in number or not -_MAX_DOUBLE <= value <= _MAX_DOUBLE:
+            raise _number_error(i, "value", value)
+        sigma = row.get("sigma", 0.0)
+        if type(sigma) not in number or not -_MAX_DOUBLE <= sigma <= _MAX_DOUBLE:
+            raise _number_error(i, "sigma", sigma)
+        keys.append(k)
+        entries.append(MeasurementEntry(float(value), float(sigma), shots))
+    return keys, entries, at
 
 
 def record_from_json_dict(d: dict) -> MeasurementRecord:
-    graph, frame, rows = _read_header(d, _read_rows)
-    # 'pauli' texts are decoded in one batch
-    texts = [k for k, _ in rows if isinstance(k, str)]
-    decoded = iter(zip(texts, StabilizerCodec(graph, frame).decode(texts)) if texts else ())
-    entries = {}
-    for i, (k, entry) in enumerate(rows):
-        if isinstance(k, str):
-            text, k = next(decoded)
-            if k is None:
+    graph, frame, (keys, rows, at) = _read_header(d, _read_rows)
+    # 'pauli' texts are decoded in one batch; a non-member keeps its text as key
+    decoded = StabilizerCodec(graph, frame).decode([keys[i] for i in at]) if at else []
+    for i, k in zip(at, decoded):
+        if k is not None:
+            keys[i] = k
+    entries = dict(zip(keys, rows))
+    if None in decoded or len(entries) < len(keys):  # name the first bad row
+        seen = set()
+        for i, k in enumerate(keys):
+            if isinstance(k, str):
                 raise RecordFormatError(
-                    f"measurements[{i}]: operator {text!r} is not a stabilizer element "
+                    f"measurements[{i}]: operator {k!r} is not a stabilizer element "
                     "of this graph and frame (check the sign)")
-        if k in entries:
-            raise RecordFormatError(f"measurements[{i}]: duplicate stabilizer index {k}")
-        entries[k] = entry
+            if k in seen:
+                raise RecordFormatError(f"measurements[{i}]: duplicate stabilizer index {k}")
+            seen.add(k)
     return MeasurementRecord(graph=graph, frame=frame, entries=entries)
 
 

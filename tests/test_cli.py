@@ -81,6 +81,25 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("option, spec, message", [
+        ("--graph", "path:x", "--graph 'path:x': expected path:N with N a whole number"),
+        ("--graph", "path:", "--graph 'path:': expected path:N with N a whole number"),
+        ("--graph", "path:1.5", "--graph 'path:1.5': expected path:N with N a whole number"),
+        ("--noise", "z=abc", "--noise 'z=abc': 'abc' is not a number"),
+        ("--noise", "z=0.01,x,0.02", "--noise 'z=0.01,x,0.02': 'x' is not a number"),
+        ("--noise", "w=abc", "--noise 'w=abc': 'abc' is not a number"),
+        ("--noise", "w=", "--noise 'w=': '' is not a number"),
+    ], ids=["graph-x", "graph-empty", "graph-float", "noise-z", "noise-z-list", "noise-w",
+            "noise-w-empty"])
+    def test_bad_graph_or_noise_spec_exits_2_naming_it(self, tmp_path, capsys, option, spec,
+                                                       message):
+        args = {"--graph": "path:3", "--noise": "z=0.02", option: spec}
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "simulate", "--graph", args["--graph"],
+                                    "--noise", args["--noise"], "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("frame", ["file", "paper4"])
     def test_frame_for_another_qubit_count_exits_2_naming_it(self, tmp_path, capsys, frame):
         if frame == "file":

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabverify.kernels import fwht, pg_fit, simplex_project
 
@@ -25,6 +26,25 @@ def butterfly(a):
         out = np.stack((top, bot), axis=-2)
         h *= 2
     return out.reshape(*lead, size)
+
+
+def fixed_step_pg(idx, values, weights, p0, max_iter, tol):
+    """Plain projected gradient with pg_fit's step 1/L and KKT test, no momentum."""
+    D = p0.size
+    w = weights / weights.sum()
+    L = 1.05 * 2.0 * D * w.max()
+    p = p0.copy()
+    kkt = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        r = np.zeros(D)
+        r[idx] = w * (fwht(p)[idx] - values)
+        g = 2.0 * fwht(r)
+        kkt = np.max(np.abs(p - simplex_project(p - g)))
+        if kkt <= tol:
+            break
+        p = simplex_project(p - g / L)
+    return p, kkt, it
 
 
 class TestFwht:
@@ -133,3 +153,37 @@ class TestPgFit:
         p, kkt, _ = pg_fit(idx, vals, wts, p0, 200_000, 1e-10)
         assert kkt <= 1e-10
         assert np.max(np.abs(p - p_true)) < 1e-6
+
+    @staticmethod
+    def noisy_full_group(rng, n, sigma_hi):
+        """Every non-identity row measured with a positive weight, so the
+        objective is strongly convex on the simplex and its minimizer unique."""
+        D = 1 << n
+        idx = np.arange(1, D, dtype=np.int64)
+        sigma = rng.uniform(0.01, sigma_hi, D - 1)
+        noise = sigma * rng.standard_normal(D - 1)
+        vals = np.clip(fwht(rng.dirichlet(np.ones(D)))[idx] + noise, -1.0, 1.0)
+        return idx, vals, 1.0 / sigma ** 2, np.full(D, 1.0 / D)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_fixed_step_oracle(self, n, seed):
+        problem = self.noisy_full_group(np.random.default_rng(seed), n, 0.03)
+        p, kkt, _ = pg_fit(*problem, 100_000, 1e-10)
+        q, kkt_q, _ = fixed_step_pg(*problem, 100_000, 1e-10)
+        assert kkt <= 1e-10 and kkt_q <= 1e-10
+        assert (p >= 0).all() and abs(p.sum() - 1.0) < 1e-12
+        assert np.max(np.abs(p - q)) <= 1e-7
+
+    def test_fewer_iterations_than_fixed_step(self):
+        problem = self.noisy_full_group(np.random.default_rng(8), 8, 0.05)
+        _, kkt, it = pg_fit(*problem, 100_000, 1e-9)
+        _, kkt_q, it_q = fixed_step_pg(*problem, 100_000, 1e-9)
+        assert kkt <= 1e-9 and kkt_q <= 1e-9
+        assert 2 * it <= it_q
+
+    def test_stops_at_max_iter(self):
+        problem = self.noisy_full_group(np.random.default_rng(9), 5, 0.05)
+        p, kkt, it = pg_fit(*problem, 3, 1e-12)
+        assert it == 3 and kkt > 1e-12
+        assert (p >= 0).all() and abs(p.sum() - 1.0) < 1e-12

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,16 @@ class TestMlFit:
         assert np.max(np.abs(fit.p - state.p)) < 1e-6
         assert fit_objective(rec, fit) < 1e-10
 
+    def test_identity_entry_is_skipped(self):
+        # <S_0> = sum(p) = 1 for every p, so its zero sigma needs no shots
+        g = Graph.path(3)
+        m = expectations_from_populations(apply_noise(g, NoiseModel.uniform(3, 0.05)).p)
+        rec = full_record(g, m, np.full(8, 0.02))
+        with_identity = MeasurementRecord(g, rec.frame, {0: MeasurementEntry(1.0, 0.0),
+                                                         **rec.entries})
+        assert np.array_equal(ml_fit(with_identity).p, ml_fit(rec).p)
+        assert fit_objective(with_identity, m) == fit_objective(rec, m)
+
     def test_fitted_fidelity_tracks_raw(self):
         # target population 0.880 with full-group data: the fitted leading
         # population agrees with the raw fidelity within 0.01
@@ -290,6 +302,79 @@ class TestRecordValidation:
              "measurements": [{"k": ks, "value": 0.9}]}
         with pytest.raises(RecordFormatError, match="bad stabilizer index string"):
             record_from_json_dict(d)
+
+
+OK_ROW = {"k": "1000", "value": 0.9, "sigma": 0.01}
+
+# (rows, exact message) on the paper4 graph and frame, where -ZZII is k = 1.
+# Row-format errors are raised in row order before any 'pauli' text is
+# decoded; a row's 'shots' is read before its 'value' and 'sigma'.
+MALFORMED_ROWS = {
+    "non_object": ([OK_ROW, [1]], "measurements[1]: must be an object"),
+    "missing_value": ([{"k": "1000", "sigma": 0.1}], "measurements[0]: missing 'value'"),
+    "value_true": ([{"k": "1000", "value": True}],
+                   "measurements[0]: 'value' must be a finite number, got True"),
+    "value_string": ([{"k": "1000", "value": "0.9"}],
+                     "measurements[0]: 'value' must be a finite number, got '0.9'"),
+    "value_1e999": ([{"k": "1000", "value": json.loads("1e999")}],
+                    "measurements[0]: 'value' must be a finite number, got inf"),
+    "value_nan": ([{"k": "1000", "value": float("nan")}],
+                  "measurements[0]: 'value' must be a finite number, got nan"),
+    "sigma_string": ([{"k": "1000", "value": 0.9, "sigma": "0.1"}],
+                     "measurements[0]: 'sigma' must be a finite number, got '0.1'"),
+    "shots_float": ([{"k": "1000", "value": 0.9, "shots": 10.0}],
+                    "measurements[0]: 'shots' must be an integer, got 10.0"),
+    "shots_true": ([{"k": "1000", "value": 0.9, "shots": True}],
+                   "measurements[0]: 'shots' must be an integer, got True"),
+    "shots_zero": ([{"k": "1000", "value": 0.9, "shots": 0}],
+                   "measurements[0]: 'shots' must be at least 1, got 0"),
+    "no_key": ([{"value": 0.9}], "measurements[0]: need either 'k' or 'pauli'"),
+    "k_not_string": ([{"k": 1, "value": 0.9}], "measurements[0]: 'k' must be a string, got 1"),
+    "pauli_not_string": ([{"pauli": 5, "value": 0.9}],
+                         "measurements[0]: 'pauli' must be a string, got 5"),
+    "bad_k": ([{"k": "10", "value": 0.9}],
+              "measurements[0]: bad stabilizer index string '10' for n=4"),
+    "short_pauli": ([{"pauli": " zz ", "value": 0.9}],
+                    "measurements[0]: operator 'ZZ' has fewer than 4 qubits"),
+    "non_stabilizer_pauli": ([{"pauli": "ZZII", "value": 0.9}],
+                             "measurements[0]: operator 'ZZII' is not a stabilizer element "
+                             "of this graph and frame (check the sign)"),
+    "duplicate_index": ([OK_ROW, {"pauli": "-ZZII", "value": 0.9}],
+                        "measurements[1]: duplicate stabilizer index 1"),
+    "shots_before_value": ([{"k": "1000", "value": "x", "shots": 0}],
+                           "measurements[0]: 'shots' must be at least 1, got 0"),
+    "value_before_sigma": ([{"k": "1000", "value": None, "sigma": None}],
+                           "measurements[0]: 'value' must be a finite number, got None"),
+    "key_before_value": ([{"k": "2", "value": None}],
+                         "measurements[0]: bad stabilizer index string '2' for n=4"),
+    "format_before_decode": ([{"pauli": "ZZII", "value": 0.9}, {"k": "1000", "value": None}],
+                             "measurements[1]: 'value' must be a finite number, got None"),
+    "decode_in_row_order": ([{"pauli": "-ZZII", "value": 0.9}, OK_ROW,
+                             {"pauli": "ZZII", "value": 0.9}],
+                            "measurements[1]: duplicate stabilizer index 1"),
+    "non_stabilizer_before_duplicate": ([{"pauli": "ZZII", "value": 0.9}, OK_ROW,
+                                         {"pauli": "-ZZII", "value": 0.9}],
+                                        "measurements[0]: operator 'ZZII' is not a stabilizer "
+                                        "element of this graph and frame (check the sign)"),
+    "duplicate_k_rows": ([OK_ROW, {"k": "0100", "value": 0.5}, OK_ROW],
+                         "measurements[2]: duplicate stabilizer index 1"),
+    "value_range": ([{"k": "1000", "value": 1.5}], "entry 1: value 1.5 outside [-1, 1]"),
+    "negative_sigma": ([{"k": "1000", "value": 0.9, "sigma": -0.1}],
+                       "entry 1: negative sigma -0.1"),
+    "identity": ([{"k": "0000", "value": 0.99}],
+                 "identity entry (k=0) must have value 1 and sigma 0"),
+}
+
+
+class TestRecordDiagnostics:
+    @pytest.mark.parametrize("rows, message", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS)
+    def test_exact_message(self, paper4, rows, message):
+        graph, frame = paper4
+        d = {"graph": graph.to_json_dict(), "frame": frame.to_json_list(),
+             "measurements": rows}
+        with pytest.raises(RecordFormatError) as info:
+            record_from_json_dict(d)
+        assert str(info.value) == message
 
 
 class TestRecordJson:
