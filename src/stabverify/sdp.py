@@ -15,17 +15,18 @@ representation; one policy, ``_solution``, then checks them against
 trivial one (sigma = 0 for a state that is PPT on every cut) included.
 
 Two paths, each over the given bipartitions or, for None, all of them:
-  * ``ppt_robustness(rho, partitions)``: dense Hermitian sigma (4^n real
-    coordinates), capped at 5 qubits.  The coordinates are an index map into
-    sigma's d x d matrix (``_hermitian_coords``), and sigma >= 0 with every
-    (rho + sigma)^Gamma_T >= 0 is one ``PptBlock``: a stack of complex
-    Hermitian d x d matrices, paired with the dual stack by Re tr.  A
-    partial transpose only permutes matrix positions, so the block's slack,
-    apply and adjoint are each one scatter or gather, and its Schur term is
-    a gather from products of two entries of each scaling matrix, summed
-    over the stack, as in the sparse Schur assembly of Fujisawa, Kojima and
-    Nakata, Math. Program. 79 (1997); no basis matrix is built.  Certified
-    by fresh dense eigensolves.
+  * ``ppt_robustness(rho, partitions)``: dense sigma, capped at 5 qubits;
+    Hermitian (4^n real coordinates) for complex rho, real symmetric
+    (2^n (2^n + 1) / 2) for real rho, whose optimum is real.  The coordinates
+    are an index map into sigma's d x d matrix (``_hermitian_coords``), and
+    sigma >= 0 with every (rho + sigma)^Gamma_T >= 0 is one ``PptBlock``: a
+    stack of complex Hermitian or real symmetric d x d matrices, paired with
+    the dual stack by Re tr.  A partial transpose only permutes matrix
+    positions, so the block's slack, apply and adjoint are each one scatter
+    or gather, and its Schur term comes from three gathers of each scaling
+    matrix, summed over the stack, as in the sparse Schur assembly of
+    Fujisawa, Kojima and Nakata, Math. Program. 79 (1997); no basis matrix
+    is built.  Certified by fresh complex dense eigensolves.
   * ``symmetry_reduced_robustness``: for graph-diagonal rho the optimum may
     be sought among graph-diagonal sigma (stabilizer twirling preserves
     feasibility and the objective), where every partial transpose is again
@@ -169,17 +170,23 @@ def _check_density(rho: np.ndarray):
         raise ValueError(f"rho has trace {tr!r}, expected 1")
 
 
-def _hermitian_coords(d: int):
-    """Sigma's d^2 real coordinates as an index map into a flat d x d matrix.
+def _hermitian_coords(d: int, real: bool):
+    """Sigma's real coordinates as an index map into a flat d x d matrix.
 
-    The coordinates are those of the basis E_aa, then for each a < b in
-    row-major order E_ab + E_ba and -i E_ab + i E_ba.  Entry pair u holds
+    Hermitian coordinates (d^2) are those of the basis E_aa, then for each
+    a < b in row-major order E_ab + E_ba and -i E_ab + i E_ba; real symmetric
+    ones (real, d(d+1)/2) keep only E_aa and E_ab + E_ba.  Entry pair u holds
     the flat positions pos[u] = (x, swap x) of sigma's entries z_u and
     conj(z_u): first the d diagonal pairs, then each (a, b) with a < b.  With
     y = (Re z, Im z), coordinate i sets y[index[i]] = scale[i] x_i: so
     Re z_aa = x_i / 2 (z_aa is counted at both positions of its pair),
     Re z_ab = x_i and Im z_ab = -x_{i+1}.  weights = 2 scale scale' is the
     factor of ``PptBlock.schur``.
+
+    For real rho the real set is exact: conjugation commutes with every
+    partial transpose and keeps sigma >= 0 and tr sigma, so (sigma +
+    conj sigma) / 2 is feasible with the same trace (a symmetry reduction,
+    Gatermann and Parrilo, J. Pure Appl. Algebra 192 (2004)).
     """
     a, b = np.triu_indices(d, 1)
     rows = np.concatenate((np.arange(d), a))
@@ -188,17 +195,9 @@ def _hermitian_coords(d: int):
     off = np.arange(d, rows.size)
     index = np.concatenate((np.arange(d), np.stack((off, rows.size + off), axis=1).ravel()))
     scale = np.concatenate((np.full(d, 0.5), np.tile([1.0, -1.0], a.size)))
+    if real:  # the Re parts alone: index becomes arange(u)
+        index, scale = index[index < rows.size], scale[index < rows.size]
     return pos, index, scale, 2.0 * np.multiply.outer(scale, scale)
-
-
-def _pair_products(w, x, sx):
-    """K[x, swap y] + K[x, y] and K[x, swap y] - K[x, y] over the entry pairs
-    (x, swap x) and (y, swap y), with K[(p, q), (r, s)] = w[q, r] w[s, p]:
-    row K[x, .] is the row swap x = (a, b) of kron(w, w^T)."""
-    a, b = np.divmod(sx, len(w))
-    k = (w[a, :, None] * w.T[b, None, :]).reshape(len(a), -1)
-    k0, k1 = k.take(x, axis=1), k.take(sx, axis=1)
-    return k1 + k0, k1 - k0
 
 
 class PptBlock:
@@ -206,30 +205,34 @@ class PptBlock:
     ``_hermitian_coords``): part T of ``[(), *partitions]`` is
     x -> offset_T + (sum_i x_i B_i)^Gamma_T, with offset 0 for T = ()
     (sigma >= 0) and rho^Gamma_T for a cut ((rho + sigma)^Gamma_T >= 0).
-    A partial transpose only permutes matrix positions (an involution that
-    commutes with the transpose): ``perm`` holds one permutation of the d^2
-    flat positions per part, and ``pos`` the entry pairs of each part.  So
-    every map is a scatter or gather on d x d matrices and no basis matrix is
-    formed.
+    A real rho takes the real symmetric coordinates and a float64 stack,
+    any other rho the Hermitian ones and a complex128 stack.  A partial
+    transpose only permutes matrix positions (an involution that commutes
+    with the transpose): ``perm`` holds one permutation of the d^2 flat
+    positions per part, and ``rows``, ``cols`` the row and column of the
+    position x of each entry pair in each part.  So every map is a scatter
+    or gather on d x d matrices and no basis matrix is formed.
     """
 
     def __init__(self, rho, partitions):
         d = rho.shape[0]
-        self.base, self.index, self.scale, self.weights = _hermitian_coords(d)
+        real = not rho.imag.any()
+        self.base, self.index, self.scale, self.weights = _hermitian_coords(d, real)
         parts = [(), *partitions]
         flat = np.arange(d * d).reshape(d, d)
         self.perm = np.stack([partial_transpose(flat, part).ravel() for part in parts])
-        self.pos = self.perm[:, self.base]
-        self.offset = np.stack([np.zeros((d, d), dtype=np.complex128)]
+        self.rows, self.cols = np.divmod(self.perm[:, self.base[:, 0]], d)
+        rho = rho.real if real else rho
+        self.offset = np.stack([np.zeros((d, d), dtype=rho.dtype)]
                                + [partial_transpose(rho, part) for part in partitions])
 
     def hermitian(self, x):
-        """sigma = sum_i x_i B_i as a complex d x d matrix."""
+        """sigma = sum_i x_i B_i as a d x d matrix of the stack's dtype."""
         u = len(self.base)
         y = np.zeros(2 * u)
         y[self.index] = self.scale * x
-        z = y[:u] + 1j * y[u:]
-        h = np.zeros(self.perm.shape[1], dtype=np.complex128)
+        z = y[:u] + 1j * y[u:] if np.iscomplexobj(self.offset) else y[:u]
+        h = np.zeros(self.perm.shape[1], dtype=self.offset.dtype)
         h[self.base[:, 1]] = z.conj()
         h[self.base[:, 0]] += z  # a diagonal pair gets z + conj(z) = x_i
         return h.reshape(self.offset.shape[1:])
@@ -267,17 +270,26 @@ class PptBlock:
         as the two terms at swap x are conjugates of these (Hermitian W_T
         gives K[swap x, swap y] = conj K[x, y]).  That is 2 scale_i scale_k
         times the entry (index_i, index_k) of [[Re P, Im Q], [-Im P, Re Q]],
-        where P = K[x, swap y] + K[x, y] and Q = K[x, swap y] - K[x, y].  P and
-        Q are summed over the parts; the gather and the weights are applied
-        once to the sum.
+        where P = K[x, swap y] + K[x, y] and Q = K[x, swap y] - K[x, y].
+        With x = (a, b) over the pairs, and G = W_T[b, a] (one u x u gather),
+        K[x, y] = G * G' and K[x, swap y] = W_T[b, b] * W_T'[a, a]: three
+        gathers per part.  Both K are summed over the parts, and P, Q, the
+        index gather and the weights are formed once from the sums.  The real
+        symmetric coordinates (real W) need Re P alone; Q is never formed.
         """
-        p = q = 0.0
-        for w, pos in zip(W, self.pos):
-            pt, qt = _pair_products(w, pos[:, 0], pos[:, 1])
-            p += pt
-            q += qt
-            del pt, qt  # free them before the next part's products
-        u = len(p)
+        u = len(self.base)
+        kxy, kxs, g, h = (np.zeros((u, u), W.dtype) for _ in range(4))
+        for w, a, b in zip(W, self.rows, self.cols):
+            # mode="clip" lets take write straight into out (indices are in range)
+            wb = w[b]
+            wb.take(a, axis=1, out=g, mode="clip")
+            kxy += np.multiply(g, g.T, out=h)
+            wb.take(b, axis=1, out=g, mode="clip")
+            kxs += np.multiply(g, w[a].take(a, axis=1, out=h, mode="clip").T, out=g)
+        p = kxs + kxy
+        if not np.iscomplexobj(self.offset):
+            return self.weights * p.real
+        q = kxs - kxy
         r = np.empty((2 * u, 2 * u))
         r[:u, :u], r[:u, u:] = p.real, q.imag
         r[u:, :u], r[u:, u:] = -p.imag, q.real
@@ -375,11 +387,12 @@ def ppt_robustness(rho, partitions=None) -> SdpSolution:
         return _trivial_solution(d, partitions, pt_eigs, "dense")
 
     block = PptBlock(rho, partitions)
-    c = np.zeros(d * d)
+    c = np.zeros(block.index.size)
     c[:d] = 1.0  # tr(sigma): the diagonal coordinates come first
     x0 = (0.5 + 2.0 * max(0.0, -min(pt_eigs))) * c  # sigma starts at t0 * identity
     res = solve_conic(c, block, x0)
-    return _certify(rho, block.hermitian(res.x), partitions, res.dual[1:], res.iterations)
+    return _certify(rho, block.hermitian(res.x).astype(np.complex128), partitions,
+                    res.dual[1:].astype(np.complex128), res.iterations)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@
 Mehrotra predictor-corrector with Nesterov-Todd scaling.  The constraint is
 one block: an object with ``slack(x)``, ``apply(dx)``, ``adjoint(Z)`` and
 ``schur(W)``, whose cone the solver reads from the shape of the slack.  A
-(k, d, d) slack is a stack of Hermitian matrices in the PSD cone, paired
+(k, d, d) slack is a stack of complex Hermitian or real symmetric matrices
+(a real slack keeps every iterate and eigensolve real) in the PSD cone, paired
 with its dual by Re tr summed over the stack, and its Schur term at the
 stack W of scaling matrices is [sum_j Re tr(F_ij W_j F_kj W_j)]_ik.  A vector
 slack lies in the orthant, and its Schur term at the scaling vector W is

@@ -61,6 +61,21 @@ def hermitian_basis(d):
     return basis
 
 
+def symmetric_basis(d):
+    """E_aa, then for each a < b in row-major order E_ab + E_ba."""
+    basis = []
+    for a in range(d):
+        e = np.zeros((d, d))
+        e[a, a] = 1.0
+        basis.append(e)
+    for a in range(d):
+        for b in range(a + 1, d):
+            e = np.zeros((d, d))
+            e[a, b] = e[b, a] = 1.0
+            basis.append(e)
+    return basis
+
+
 def bell_density():
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1 / np.sqrt(2)
@@ -105,17 +120,7 @@ class TestSolverCore:
         A = rng.standard_normal((d, d))
         A = (A + A.T) / 2
         oracle = float(np.clip(np.linalg.eigvalsh(A), 0, None).sum())
-        basis = []
-        for i in range(d):
-            e = np.zeros((d, d))
-            e[i, i] = 1
-            basis.append(e)
-        for i in range(d):
-            for j in range(i + 1, d):
-                e = np.zeros((d, d))
-                e[i, j] = e[j, i] = 1
-                basis.append(e)
-        res = self.positive_part(A, basis)
+        res = self.positive_part(A, symmetric_basis(d))
         assert res.converged
         assert abs(res.objective - oracle) < 1e-6
 
@@ -157,22 +162,34 @@ def unit_bounded(shape):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_ppt_block_matches_dense_oracle(data):
-    # every map of the index-map stack against the F stack it replaces
+    # every map of the index-map stack against the F stack it replaces: a real
+    # rho takes the real symmetric coordinates, any other the Hermitian ones
     n = data.draw(st.integers(1, 3))
     d = 1 << n
+    real = data.draw(st.booleans())
     subsets = st.sets(st.integers(1, n)).map(lambda s: tuple(sorted(s)))
     parts = data.draw(st.lists(subsets, min_size=1, max_size=4))
     k = 1 + len(parts)
     re, im = data.draw(unit_bounded((d, d))), data.draw(unit_bounded((d, d)))
-    rho = re + re.T + 1j * (im - im.T)
-    x = data.draw(unit_bounded(d * d))
-    Z = data.draw(unit_bounded((k, d, d))) + 1j * data.draw(unit_bounded((k, d, d)))
     wr, wi = data.draw(unit_bounded((k, d, d))), data.draw(unit_bounded((k, d, d)))
-    W = wr + wr.swapaxes(1, 2) + 1j * (wi - wi.swapaxes(1, 2))  # schur's scaling stack
-    block = PptBlock(rho, parts)
+    zr, zi = data.draw(unit_bounded((k, d, d))), data.draw(unit_bounded((k, d, d)))
+    rho = re + re.T + 0j
+    W = wr + wr.swapaxes(1, 2)  # schur's scaling stack
+    Z = zr
+    if real:
+        rho, basis = rho.real, symmetric_basis(d)
+    else:
+        im[0, 1] += data.draw(st.floats(0.1, 1.0))  # keep rho complex
+        rho = rho + 1j * (im - im.T)
+        W = W + 1j * (wi - wi.swapaxes(1, 2))
+        Z = Z + 1j * zi
+        basis = hermitian_basis(d)
+    x = data.draw(unit_bounded(len(basis)))
+    block = PptBlock(rho + 0j, parts)
+    assert block.index.size == (d * (d + 1) // 2 if real else d * d) == len(basis)
+    assert block.offset.dtype == (np.float64 if real else np.complex128)
     all_parts = [(), *parts]
-    F = np.stack([np.stack([partial_transpose(B, t) for t in all_parts])
-                  for B in hermitian_basis(d)])
+    F = np.stack([np.stack([partial_transpose(B, t) for t in all_parts]) for B in basis])
     F0 = np.stack([np.zeros((d, d))] + [partial_transpose(rho, t) for t in parts])
     oracle = SdpBlock(F0, F)
 
@@ -184,6 +201,47 @@ def test_ppt_block_matches_dense_oracle(data):
     assert close(block.adjoint(Z), oracle.adjoint(Z))
     assert close(block.schur(W), oracle.schur(W))
     assert close(block.hermitian(x), np.tensordot(x, F[:, 0], axes=(0, 0)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_complex_rho_matches_its_real_local_unitary_image(data):
+    # local diagonal phases diag(1, e^{i phi}) make a real rho complex without
+    # changing its robustness: the two solves, one in the real symmetric and
+    # one in the Hermitian coordinates, agree within their certified gaps
+    import stabverify.sdp as sdp
+
+    n = data.draw(st.integers(2, 3))
+    d = 1 << n
+    a = data.draw(unit_bounded((d, d)))
+    mixed = a @ a.T + 1e-3 * np.eye(d)
+    w = data.draw(st.floats(0.0, 0.25))
+    v = graph_state_vector(Graph.path(n))
+    # NPT on every cut: each partial transpose of the path graph state has
+    # least eigenvalue -1/2 for n <= 3, so rho^Gamma's is at most -(1 - w) / 2 + w
+    rho = (1 - w) * np.outer(v, v) + w * mixed / np.trace(mixed)
+    qubits = data.draw(st.sets(st.integers(1, n), min_size=1))
+    phases = np.ones(d, dtype=np.complex128)
+    for q in qubits:
+        bit = (np.arange(d) >> (n - q)) & 1
+        phases *= np.exp(1j * data.draw(st.floats(0.3, 2.8)) * bit)
+    rotated = phases[:, None] * rho * phases.conj()[None, :]
+    assert np.abs(rotated.imag).max() > 1e-3
+
+    sizes = []
+    real_solve = sdp.solve_conic
+
+    def recording(c, block, x0):
+        sizes.append((c.size, block.offset.dtype))
+        return real_solve(c, block, x0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "solve_conic", recording)
+        sol_real = ppt_robustness(rho)
+        sol_complex = ppt_robustness(rotated)
+    assert sizes == [(d * (d + 1) // 2, np.float64), (d * d, np.complex128)]
+    assert abs(sol_real.value - sol_complex.value) <= (
+        sol_real.duality_gap + sol_complex.duality_gap)
 
 
 class TestBellOracle:
@@ -208,22 +266,15 @@ class TestBellOracle:
         from scipy.optimize import minimize
 
         rho = bell_density()
-        rho_pt = partial_transpose(rho, [1])
-        paulis = []
-        for a in "IXYZ":
-            for b in "IXYZ":
-                paulis.append(
-                    sv.pauli_to_matrix(sv.PauliString.from_string(a + b))
-                )
-
-        def sigma_of(x):
-            return sum(xi * P for xi, P in zip(x, paulis)) / 4.0
+        # sigma = sum_i x_i P_i / 4 and its partial transpose, stacked once
+        paulis = [sv.pauli_to_matrix(sv.PauliString.from_string(a + b))
+                  for a in "IXYZ" for b in "IXYZ"]
+        basis = np.stack([(P, partial_transpose(P, [1])) for P in paulis]) / 4.0
+        offset = np.stack((np.zeros((4, 4)), partial_transpose(rho, [1])))
 
         def neg_eigs(x):
-            s = sigma_of(x)
-            w1 = np.linalg.eigvalsh(s)[0]
-            w2 = np.linalg.eigvalsh(rho_pt + partial_transpose(s, [1]))[0]
-            return min(w1, w2)
+            # least eigenvalue of sigma and of (rho + sigma)^Gamma
+            return np.linalg.eigvalsh(offset + np.tensordot(x, basis, axes=1))[:, 0].min()
 
         rng = np.random.default_rng(1)
         best = np.inf
@@ -349,6 +400,15 @@ class TestDensePath:
             assert sol.iterations == 10
             assert abs(sol.value - reduced.value) <= 1e-8 * reduced.value
             assert sol.duality_gap <= 1e-6 * (1 + sol.value)
+
+    @pytest.mark.parametrize("rho", [bell_density(), np.eye(4) / 4], ids=["solved", "trivial"])
+    def test_operators_are_complex_hermitian_for_real_rho(self, rho):
+        # the real symmetric solve still hands callers complex128 operators
+        sol = ppt_robustness(rho.real, [[1]])
+        assert len(sol.dual_certificate) == 1
+        for op in (sol.sigma, *sol.dual_certificate):
+            assert op.dtype == np.complex128 and op.shape == (4, 4)
+            assert np.allclose(op, op.conj().T, rtol=0.0, atol=1e-14)
 
     def test_monotone_in_partitions(self):
         p, rho = rand_graph_diag(3, Graph.path(3), seed=3)
