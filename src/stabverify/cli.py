@@ -25,9 +25,10 @@ from importlib import resources
 
 from . import __version__
 from .bounds import MIN_TRIALS, GeneratorData, bound_report, er_lower_from_state
+from .operators import graph_diagonal_operator
 from .pauli import Graph, LocalFrame, NotTwoColorableError, StabilizerCodec, two_coloring
 from .presets import FRAME_PRESETS, GRAPH_PRESETS
-from .reconstruct import (GraphDiagonalState, MeasurementRecord, load_record,
+from .reconstruct import (GraphDiagonalState, MeasurementRecord, _load_json, load_record,
                           load_record_or_state, ml_fit, raw_fidelity, raw_purity, save_record)
 from .sdp import (all_bipartitions, canonical_partitions, check_solver_size, ppt_robustness,
                   symmetry_reduced_robustness)
@@ -104,6 +105,14 @@ def _simulable(n: int) -> int:
     return n
 
 
+def _read_option_file(option: str, path: str, parse):
+    doc = _load_json(path)  # a syntax error names the path, a content error the option
+    try:
+        return parse(doc)
+    except ValueError as exc:
+        raise ValueError(f"{option} {path}: {exc}") from None
+
+
 def _parse_graph(spec: str, frame_name: str | None = None) -> Graph:
     """The --graph of simulate, refused above MAX_SIMULATE_QUBITS before a
     path is built."""
@@ -119,8 +128,7 @@ def _parse_graph(spec: str, frame_name: str | None = None) -> Graph:
         if frame_name in GRAPH_PRESETS and GRAPH_PRESETS[frame_name].n == n:
             return GRAPH_PRESETS[frame_name]
         return Graph.path(n)
-    with open(spec) as fh:
-        graph = Graph.from_json_dict(json.load(fh))
+    graph = _read_option_file("--graph", spec, Graph.from_json_dict)
     _simulable(graph.n)
     return graph
 
@@ -131,8 +139,7 @@ def _parse_frame(spec: str | None, n: int) -> LocalFrame:
     if spec in FRAME_PRESETS:
         frame = FRAME_PRESETS[spec]
     else:
-        with open(spec) as fh:
-            frame = LocalFrame.from_json_list(json.load(fh))
+        frame = _read_option_file("--frame", spec, LocalFrame.from_json_list)
     if frame.n != n:
         raise ValueError(f"--frame {spec} lists {frame.n} qubits; the graph has {n}")
     return frame
@@ -270,8 +277,6 @@ def _run_sdp(report: Report, state: GraphDiagonalState | None, graph, frame,
             partitions = all_bipartitions(graph.n)
         check_solver_size(graph.n, method)  # before rho is built
         if method == "dense":
-            from .operators import graph_diagonal_operator
-
             rho = graph_diagonal_operator(state.p, graph, frame)
             sol = ppt_robustness(rho, partitions)
         else:

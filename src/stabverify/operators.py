@@ -3,7 +3,9 @@ Hermitian eigendecomposition, purity/fidelity/entropy.
 
 Matrices and state vectors are plain complex numpy arrays.  Basis index bit
 q-1 corresponds to qubit q, so tensor factors are assembled with qubit n as
-the most significant Kronecker factor.
+the most significant Kronecker factor.  Graph-basis vectors and operators
+come from the CZ signs, the frame's per-qubit unitaries and the weights'
+Walsh transform; no stabilizer group or Pauli matrix is formed for them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from . import kernels
-from .pauli import Graph, LocalFrame, PauliString, stabilizer_group, transformed_generators
+from .pauli import Graph, LocalFrame, PauliString
 
 MAX_QUBITS_DENSE = 12
 
@@ -42,10 +44,15 @@ def num_qubits(dim: int) -> int:
     return n
 
 
+def _dense_dim(n: int) -> int:
+    if n > MAX_QUBITS_DENSE:
+        raise ValueError(f"dense representation capped at {MAX_QUBITS_DENSE} qubits")
+    return 1 << n
+
+
 def pauli_to_matrix(p: PauliString) -> np.ndarray:
     """Dense matrix of a signed Pauli string (qubit 1 = least significant bit)."""
-    if p.n > MAX_QUBITS_DENSE:
-        raise ValueError(f"dense representation capped at {MAX_QUBITS_DENSE} qubits")
+    _dense_dim(p.n)
     mats = [
         PAULI_1Q[((p.x >> (q - 1)) & 1, (p.z >> (q - 1)) & 1)]
         for q in range(p.n, 0, -1)
@@ -63,38 +70,32 @@ def _frame_unitary_1q(image_x, image_z) -> np.ndarray:
     return np.column_stack([b, A @ b])
 
 
-def _apply_1q(vec: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    t = vec.reshape([2] * n)
-    axis = n - qubit  # axis 0 is qubit n
-    t = np.tensordot(u, t, axes=([1], [axis]))
-    t = np.moveaxis(t, 0, axis)
-    return t.reshape(-1)
+def _framed_graph_rows(a: np.ndarray, graph: Graph, frame: LocalFrame | None) -> np.ndarray:
+    """U S a for a (2^n, k) array: each row x of a times the CZ sign
+    (-1)^{|E(x)|}, then the frame's per-qubit unitaries U on the row index."""
+    n = graph.n
+    if frame is not None and frame.n != n:
+        raise ValueError("frame size does not match graph")
+    idx = np.arange(1 << n)
+    sign = np.ones(1 << n)
+    for u, v in graph.edges:
+        sign *= 1.0 - 2.0 * ((idx >> (u - 1)) & (idx >> (v - 1)) & 1)
+    a = a * sign[:, None]
+    if frame is None or frame.is_identity():
+        return a
+    t = a.reshape([2] * n + [-1])
+    for q, (ix, iz) in enumerate(frame.images, 1):
+        axis = n - q  # axis 0 is qubit n
+        t = np.moveaxis(np.tensordot(_frame_unitary_1q(ix, iz), t, axes=([1], [axis])), 0, axis)
+    return t.reshape(a.shape)
 
 
 def graph_state_vector(graph: Graph, frame: LocalFrame | None = None) -> np.ndarray:
-    """The joint +1 eigenvector of the (frame-transformed) generators.
-
-    Built as the CZ circuit on |+...+> followed by the per-qubit frame
-    unitaries; the global phase is fixed by making the largest-magnitude
-    amplitude real positive.
-    """
-    n = graph.n
-    if n > MAX_QUBITS_DENSE:
-        raise ValueError(f"dense representation capped at {MAX_QUBITS_DENSE} qubits")
-    dim = 1 << n
-    vec = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    idx = np.arange(dim)
-    for a, b in graph.edges:
-        both = ((idx >> (a - 1)) & 1) & ((idx >> (b - 1)) & 1)
-        vec = vec * (1.0 - 2.0 * both)
-    if frame is not None and not frame.is_identity():
-        if frame.n != n:
-            raise ValueError("frame size does not match graph")
-        for q in range(1, n + 1):
-            ix, iz = frame.images[q - 1]
-            if (ix, iz) == ((1, 0, 1), (0, 1, 1)):
-                continue
-            vec = _apply_1q(vec, _frame_unitary_1q(ix, iz), q, n)
+    """The joint +1 eigenvector of the (frame-transformed) generators, U S |+...+>,
+    with the largest-magnitude amplitude made real positive."""
+    dim = _dense_dim(graph.n)
+    plus = np.full((dim, 1), 1.0 / np.sqrt(dim), dtype=np.complex128)
+    vec = _framed_graph_rows(plus, graph, frame)[:, 0]
     j0 = int(np.argmax(np.abs(vec)))
     phase = vec[j0] / abs(vec[j0])
     return vec * np.conj(phase)
@@ -167,21 +168,18 @@ def graph_diagonal_operator(
 ) -> np.ndarray:
     """Dense sum_j weights_j |j><j| over the (framed) graph basis.
 
-    Assembled through the stabilizer expansion 2^-n sum_k m_k S_k with
-    m = forward Walsh transform of the weights.
+    With |j> = U Z^j |G> this is U S M S U^dag = U S (U S M)^dag, where S
+    holds the CZ signs and M[x, y] = m[x ^ y] / 2^n is real symmetric, with
+    m the forward Walsh transform of the weights.
     """
     n = graph.n
     weights = np.asarray(weights, dtype=float)
     if weights.size != 1 << n:
         raise ValueError("weight vector length must be 2^n")
-    frame = frame or LocalFrame.identity(n)
-    group = stabilizer_group(transformed_generators(graph, frame))
-    m = kernels.fwht(weights.astype(np.float64))
-    rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    for k, s in enumerate(group):
-        if m[k] != 0.0:
-            rho += m[k] * pauli_to_matrix(s)
-    return rho / (1 << n)
+    idx = np.arange(_dense_dim(n))
+    m = kernels.fwht(weights) / idx.size
+    half = _framed_graph_rows(m[idx[:, None] ^ idx].astype(np.complex128), graph, frame)
+    return _framed_graph_rows(half.conj().T, graph, frame)
 
 
 def stabilizer_expectations(vec: np.ndarray, group: list[PauliString]) -> np.ndarray:

@@ -62,7 +62,7 @@ from .operators import (
     trace_inner,
 )
 from .pauli import Graph, LocalFrame, transformed_generators
-from .reconstruct import state_p
+from .reconstruct import GraphDiagonalState, state_p
 from .solver import SdpConvergenceError, solve_conic
 
 MAX_DENSE_DIM = 32
@@ -162,6 +162,8 @@ def ppt_min_eig(rho: np.ndarray, partition) -> float:
 
 
 def _check_density(rho: np.ndarray):
+    if not np.isfinite(rho).all():
+        raise ValueError("rho has entries that are not finite numbers")
     w, _ = eig_hermitian(rho)
     if w[0] < -1e-9:
         raise ValueError(f"rho is not PSD (min eigenvalue {w[0]:.3e})")
@@ -525,13 +527,14 @@ def symmetry_reduced_robustness(
     exact; the program becomes a linear program in the diagonal weights,
     solved and certified on weight vectors (see the module docstring).
     """
-    p = state_p(state)
+    try:
+        p = GraphDiagonalState(state_p(state)).p
+    except ValueError as exc:
+        raise ValueError(f"state must be a physical population vector: {exc}") from None
     n = graph.n
     if p.size != 1 << n:
         raise ValueError("population vector length must be 2^n")
     check_solver_size(n, "reduced")
-    if p.min() < -1e-10 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("state must be a physical population vector")
     frame = frame or LocalFrame.identity(n)
     partitions = canonical_partitions(n, partitions)
     D = 1 << n

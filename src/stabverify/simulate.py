@@ -85,18 +85,14 @@ def sample_record(
     m = expectations_from_populations(p)
     if indices is None:
         indices = range(1, 1 << n)
-    ks = sorted(set(int(k) for k in indices))
-    rng = np.random.default_rng(seed)
-    entries = {}
-    for k in ks:
-        if k == 0:
-            entries[0] = MeasurementEntry(value=1.0, sigma=0.0, shots=shots)
-            continue
-        prob = min(max((1.0 + m[k]) / 2.0, 0.0), 1.0)
-        ones = rng.binomial(shots, prob)
-        value = (2.0 * ones - shots) / shots
-        sigma = float(np.sqrt(max(1.0 - value ** 2, 0.0) / shots))
-        entries[k] = MeasurementEntry(value=float(value), sigma=sigma, shots=shots)
+    ks = np.array(sorted(set(int(k) for k in indices)), dtype=np.int64)
+    drawn = ks != 0  # the identity row is exactly 1 and takes no draw
+    value = np.ones(ks.size)
+    prob = np.clip((1.0 + m[ks[drawn]]) / 2.0, 0.0, 1.0)
+    value[drawn] = (2.0 * np.random.default_rng(seed).binomial(shots, prob) - shots) / shots
+    sigma = np.sqrt(np.maximum(1.0 - value ** 2, 0.0) / shots)
+    entries = {k: MeasurementEntry(value=v, sigma=s, shots=shots)
+               for k, v, s in zip(ks.tolist(), value.tolist(), sigma.tolist())}
     return MeasurementRecord(graph=graph, frame=frame, entries=entries)
 
 

@@ -100,6 +100,35 @@ class TestSimulate:
         assert code == 2 and stdout == "" and not out.exists()
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text", ["[" * 200_000, '{"n": 3 "edges": []}'],
+                             ids=["nested", "syntax"])
+    @pytest.mark.parametrize("option", ["--graph", "--frame"])
+    def test_unreadable_graph_or_frame_file_exits_2_naming_it(self, tmp_path, capsys, option,
+                                                              text):
+        # read by the one JSON reader of records and state documents
+        f = tmp_path / "spec.json"
+        f.write_text(text)
+        args = {"--graph": "path:3", "--frame": "identity", option: str(f)}
+        out = tmp_path / "x.json"
+        code, stdout, err = run_cli(capsys, "simulate", "--graph", args["--graph"],
+                                    "--frame", args["--frame"], "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith(f"error: {f}: invalid JSON") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("option, doc, message", [
+        ("--graph", {"n": "3"}, "graph 'n' must be an integer"),
+        ("--frame", [{"X": "+Z"}], "'frame' must be a list"),
+    ], ids=["graph", "frame"])
+    def test_malformed_graph_or_frame_content_names_the_option(self, tmp_path, capsys, option,
+                                                               doc, message):
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(doc))
+        args = {"--graph": "path:1", "--frame": "identity", option: str(f)}
+        code, stdout, err = run_cli(capsys, "simulate", "--graph", args["--graph"],
+                                    "--frame", args["--frame"], "--out", str(tmp_path / "x.json"))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {option} {f}: {message}") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("frame", ["file", "paper4"])
     def test_frame_for_another_qubit_count_exits_2_naming_it(self, tmp_path, capsys, frame):
         if frame == "file":
@@ -641,12 +670,43 @@ class TestPauliRowsWithoutTheGroup:
     # 'pauli' rows are decoded per row; the 2^n group is never built
     @pytest.fixture
     def no_group(self, monkeypatch):
-        def refuse(gens):
-            raise AssertionError("stabilizer_group called")
+        def refusing(name):
+            def refuse(*args):
+                raise AssertionError(f"{name} called")
+            return refuse
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "stabverify" and hasattr(module, "stabilizer_group"):
-                monkeypatch.setattr(module, "stabilizer_group", refuse)
+            if name.split(".")[0] != "stabverify":
+                continue
+            for attr in ("stabilizer_group", "pauli_to_matrix"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refusing(attr))
+
+    @staticmethod
+    def noisy_paper4():
+        from stabverify.simulate import NoiseModel, apply_noise
+
+        graph, frame = stabverify.GRAPH_PAPER4, stabverify.FRAME_PAPER4
+        return graph, frame, apply_noise(graph, NoiseModel.uniform(4, 0.04)).p
+
+    def test_dense_robustness_of_a_paper4_state_file(self, tmp_path, capsys, no_group):
+        # the dense path builds rho in the Walsh domain
+        graph, frame, p = self.noisy_paper4()
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({"graph": graph.to_json_dict(), "frame": frame.to_json_list(),
+                                 "p": p.tolist()}))
+        code, rep, err = run_json(capsys, "robustness", str(f), "--method", "dense")
+        assert code == 0, err
+        reduced = stabverify.symmetry_reduced_robustness(p, graph, frame)
+        assert abs(rep["sdp"]["value"]["value"] - reduced.value) < 1e-6
+
+    def test_reduced_solution_operators(self, no_group):
+        graph, frame, p = self.noisy_paper4()
+        sol = stabverify.symmetry_reduced_robustness(p, graph, frame)
+        w = np.linalg.eigvalsh(sol.sigma)
+        assert sol.value > 0 and abs(w.sum() - sol.value) < 1e-12
+        assert len(sol.dual_certificate) == 7
+        assert all(np.linalg.eigvalsh(Y)[0] >= -1e-10 for Y in sol.dual_certificate)
 
     def test_load_save_and_simulate(self, tmp_path, capsys, no_group):
         from stabverify.reconstruct import load_record, save_record

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stabverify import (
     Graph,
@@ -24,6 +26,7 @@ from stabverify.operators import (
     shannon_entropy,
     stabilizer_expectations,
 )
+from stabverify.presets import FRAME_PAPER4, FRAME_PAPER6, GRAPH_PAPER4, GRAPH_PAPER6
 
 
 def char_poly_roots(A):
@@ -37,6 +40,27 @@ def char_poly_roots(A):
         coeffs[k] = -np.trace(AM) / k
         M = AM + coeffs[k] * np.eye(n)
     return np.sort(np.roots(coeffs).real)
+
+
+def stabilizer_expansion(weights, graph, frame=None):
+    """Oracle: 2^-n sum_k m_k S_k over the framed stabilizer group, m = fwht(weights)."""
+    group = stabilizer_group(transformed_generators(graph, frame or LocalFrame.identity(graph.n)))
+    m = fwht(np.asarray(weights, dtype=np.float64))
+    return sum(mk * pauli_to_matrix(s) for mk, s in zip(m, group)) / len(group)
+
+
+@st.composite
+def framed_graphs(draw, letters):
+    """A graph on 1-4 vertices and a frame whose images use only `letters`."""
+    n = draw(st.integers(1, 4))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    tokens = []
+    for _ in range(n):
+        image_x, image_z = draw(st.permutations(letters))[:2]
+        sign_x, sign_z = draw(st.sampled_from("+-")), draw(st.sampled_from("+-"))
+        tokens.append((sign_x + image_x, sign_z + image_z))
+    return Graph.from_edges(n, edges), LocalFrame.from_tokens(tokens)
 
 
 class TestPauliToMatrix:
@@ -325,3 +349,49 @@ class TestGraphDiagonalOperator:
         rho = graph_diagonal_operator(p, graph, frame)
         v = graph_state_vector(graph, frame)
         assert np.allclose(rho, np.outer(v, v.conj()), atol=1e-10)
+
+    @pytest.mark.parametrize("graph, frame", [
+        (GRAPH_PAPER4, FRAME_PAPER4),
+        (GRAPH_PAPER6, FRAME_PAPER6),
+        (GRAPH_PAPER6, LocalFrame.identity(6)),
+        (Graph.path(5), None),
+    ], ids=["paper4", "paper6", "paper6-identity", "path5"])
+    def test_matches_stabilizer_expansion(self, graph, frame):
+        p = np.random.default_rng(graph.n).dirichlet(np.ones(1 << graph.n))
+        rho = graph_diagonal_operator(p, graph, frame)
+        assert rho.dtype == np.complex128
+        assert np.max(np.abs(rho - stabilizer_expansion(p, graph, frame))) <= 1e-12
+        assert not rho.imag.any()  # X/Z frames give a real operator
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_frames_match_stabilizer_expansion(self, data):
+        # frames with Y images; the state vector comes from the same helper
+        graph, frame = data.draw(framed_graphs("XYZ"))
+        w = data.draw(arrays(np.float64, 1 << graph.n, elements=st.floats(-1.0, 1.0)))
+        rho = graph_diagonal_operator(w, graph, frame)
+        assert np.max(np.abs(rho - stabilizer_expansion(w, graph, frame))) <= 1e-12
+        group = stabilizer_group(transformed_generators(graph, frame))
+        v = graph_state_vector(graph, frame)
+        assert np.max(np.abs(stabilizer_expectations(v, group) - 1.0)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_xz_frames_give_real_operators(self, data):
+        # a real rho keeps the dense PPT path in real symmetric coordinates
+        graph, frame = data.draw(framed_graphs("XZ"))
+        w = data.draw(arrays(np.float64, 1 << graph.n, elements=st.floats(-1.0, 1.0)))
+        assert not graph_diagonal_operator(w, graph, frame).imag.any()
+
+    def test_rejects_bad_sizes(self):
+        with pytest.raises(ValueError, match="length"):
+            graph_diagonal_operator(np.ones(8) / 8, Graph.path(2))
+        with pytest.raises(ValueError, match="frame size"):
+            graph_diagonal_operator(np.ones(4) / 4, Graph.path(2), LocalFrame.identity(3))
+        with pytest.raises(ValueError, match="frame size"):
+            graph_state_vector(Graph.path(2), FRAME_PAPER4)
+        # refused before the 2^13 x 2^13 matrix is formed
+        with pytest.raises(ValueError, match="capped"):
+            graph_diagonal_operator(np.ones(1 << 13) / (1 << 13), Graph.path(13))
+        with pytest.raises(ValueError, match="capped"):
+            graph_state_vector(Graph.path(13))

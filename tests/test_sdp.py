@@ -277,7 +277,7 @@ class TestBellOracle:
             return np.linalg.eigvalsh(offset + np.tensordot(x, basis, axes=1))[:, 0].min()
 
         rng = np.random.default_rng(1)
-        best = np.inf
+        feasible = []
         for _ in range(8):
             x0 = rng.standard_normal(16) * 0.2
             x0[0] = 2.0  # trace component
@@ -288,9 +288,11 @@ class TestBellOracle:
                 method="SLSQP",
                 options={"maxiter": 300, "ftol": 1e-12},
             )
-            if res.success and neg_eigs(res.x) > -1e-8:
-                best = min(best, res.fun)
-        assert best >= 1.0 - 1e-4
+            # the restarts stop at maxiter without reporting success; a final
+            # iterate counts when it meets the constraint
+            if neg_eigs(res.x) > -1e-8:
+                feasible.append(res.fun)
+        assert feasible and min(feasible) >= 1.0 - 1e-4
 
     def test_certificate_fields(self):
         sol = ppt_robustness(bell_density(), [[1]])
@@ -440,6 +442,13 @@ class TestDensePath:
         with pytest.raises(ValueError, match="capped"):
             ppt_robustness(big, [[1]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_rho(self, bad):
+        rho = bell_density()
+        rho[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ppt_robustness(rho, [[1]])
+
     @pytest.mark.parametrize("shape", [(4,), (4, 4, 4)], ids=["1d", "3d"])
     def test_rejects_rho_that_is_not_a_matrix(self, shape):
         with pytest.raises(ValueError, match="square"):
@@ -554,6 +563,16 @@ class TestReducedPath:
     def test_rejects_unphysical_state(self):
         with pytest.raises(ValueError, match="physical"):
             symmetry_reduced_robustness(np.array([0.5, 0.6, -0.1, 0.0]), Graph.path(2))
+
+    @pytest.mark.parametrize("p", [
+        [np.nan, 0.5, 0.5, 0.0],
+        [np.inf, 0.5, 0.5, 0.0],
+        [0.25, 0.25, 0.25, 0.25 + 5e-10],
+    ], ids=["nan", "inf", "sum-off-by-5e-10"])
+    def test_rejects_population_vector_that_state_refuses(self, p):
+        # the rule of GraphDiagonalState, so a NaN never reaches the solver
+        with pytest.raises(ValueError, match="physical population vector"):
+            symmetry_reduced_robustness(np.array(p), Graph.path(2))
 
     def test_barely_npt_state(self):
         # uniform mixing of the 4-qubit cluster crosses the PPT boundary at

@@ -10,6 +10,7 @@ from stabverify import (
     exact_expectations,
     sample_record,
 )
+from stabverify.presets import FRAME_PAPER6, GRAPH_PAPER6
 from stabverify.reconstruct import record_to_json_dict
 from stabverify.simulate import generator_indices
 
@@ -121,6 +122,24 @@ class TestSampleRecord:
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
             sample_record(np.array([1.0, 0, 0, 0]), Graph.path(2), shots=0)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.04])
+    def test_matches_per_row_scalar_draws(self, eps):
+        # one binomial call over all rows takes the same draws from the stream
+        # as one call per row in sorted order; the identity row takes none
+        graph, frame = GRAPH_PAPER6, FRAME_PAPER6
+        state = apply_noise(graph, NoiseModel.uniform(6, eps))
+        m = exact_expectations(state)
+        ks = [0, 1, 2, 5, 17, 40, 63]
+        rec = sample_record(state, graph, frame, indices=ks[::-1], shots=333, seed=11)
+        rng = np.random.default_rng(11)
+        assert list(rec.entries) == ks
+        assert (rec.entries[0].value, rec.entries[0].sigma) == (1.0, 0.0)
+        for k in ks[1:]:
+            value = (2.0 * rng.binomial(333, min(max((1.0 + m[k]) / 2.0, 0.0), 1.0)) - 333) / 333
+            sigma = float(np.sqrt(max(1.0 - value ** 2, 0.0) / 333))
+            assert (rec.entries[k].value, rec.entries[k].sigma, rec.entries[k].shots) == (
+                value, sigma, 333)
 
 
 class TestEndToEndRecovery:
