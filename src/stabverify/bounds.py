@@ -19,9 +19,10 @@ generator data is feasible here, so this is a valid lower bound on its
 purity; ``purity_min_solution`` certifies it by an explicit KKT residual.
 
 Error bars come from Monte-Carlo resampling of the a_i (clipped normal),
-because the bounds are nonsmooth at their max{0, .} kinks.  Each bound
-reduces along the last axis, so it is evaluated on row chunks of the sample
-matrix and the per-row values are joined before the std.
+because the bounds are nonsmooth at their max{0, .} kinks.  There is one draw
+per row chunk, so memory stays bounded, and one fused pass per cache-sized
+block of a chunk: one clip and abs, one row sum for F_min (and from it p_min
+and R_Gmin) and one entropy row sum, through the public functions' helpers.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ class GeneratorData:
         s = np.asarray(self.sigma, dtype=float)
         if a.shape != s.shape or a.ndim != 1:
             raise ValueError("a and sigma must be equal-length vectors")
+        for name, v in (("a", a), ("sigma", s)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite")
         if (np.abs(a) > 1).any() or (s < 0).any():
             raise ValueError("need |a_i| <= 1 and sigma_i >= 0")
         object.__setattr__(self, "a", a)
@@ -67,10 +71,24 @@ class GeneratorData:
         return self.a.size
 
 
+def _fidelity(s, n: int):  # s: row sums of n magnitudes |a_i|
+    return np.maximum(0.0, (s - n + 2.0) / 2.0)
+
+
 def fidelity_min(a):
     """Optimal worst-case fidelity from generator expectations alone."""
     a = _abs_a(a)
-    return np.maximum(0.0, (a.sum(axis=-1) - a.shape[-1] + 2.0) / 2.0)
+    return _fidelity(a.sum(axis=-1), a.shape[-1])
+
+
+def _robustness(f, b_size: int):
+    with np.errstate(over="ignore"):
+        r = np.maximum(0.0, np.ldexp(f, b_size) - 1.0)
+    if not np.isfinite(r).all():
+        raise OverflowError(
+            f"rg_min = 2^{b_size} F_min - 1 is beyond the largest double (|B| = {b_size})"
+        )
+    return r
 
 
 def robustness_min(a, b_size: int):
@@ -78,13 +96,7 @@ def robustness_min(a, b_size: int):
 
     Raises OverflowError when 2^|B| F_min - 1 exceeds the largest double.
     """
-    with np.errstate(over="ignore"):
-        r = np.maximum(0.0, np.ldexp(fidelity_min(a), b_size) - 1.0)
-    if not np.isfinite(r).all():
-        raise OverflowError(
-            f"rg_min = 2^{b_size} F_min - 1 is beyond the largest double (|B| = {b_size})"
-        )
-    return r
+    return _robustness(fidelity_min(a), b_size)
 
 
 def log_robustness(r: float) -> float:
@@ -94,19 +106,20 @@ def log_robustness(r: float) -> float:
     return float(np.log2(1.0 + r))
 
 
-def _binary_entropy(p: np.ndarray) -> np.ndarray:
-    """Elementwise H(p) in bits with 0 log 0 = 0; overwrites p with 1 - p."""
-    inside = (p > 0) & (p < 1)
-    out = np.log2(p, out=np.zeros_like(p), where=inside) * p
+def _rel_entropy(x: np.ndarray, b_size: int):
+    """E_Rmin from magnitudes x = |a_i|, overwriting x.  p = (1 + x) / 2 lies
+    in [1/2, 1], so only 1 - p can be 0; its floor 5e-324 gives 0 * -1074 =
+    -0.0 there, without log2(0).  h = -H, so |B| - sum H = |B| + h.sum()."""
+    p = np.divide(np.add(x, 1.0, out=x), 2.0, out=x)
+    h = np.log2(p) * p
     q = np.subtract(1.0, p, out=p)
-    out += np.log2(q, out=np.zeros_like(q), where=inside) * q
-    return np.negative(out, out=out)
+    h += np.log2(np.maximum(q, 5e-324)) * q
+    return np.maximum(0.0, b_size + h.sum(axis=-1))
 
 
 def rel_entropy_min(a, b_size: int):
     """Worst-case relative-entropy-of-entanglement bound from generators."""
-    h = _binary_entropy((1.0 + _abs_a(a)) / 2.0)
-    return np.maximum(0.0, b_size - h.sum(axis=-1))
+    return _rel_entropy(_abs_a(a), b_size)
 
 
 def er_lower_from_state(state, b_size: int) -> float:
@@ -150,43 +163,40 @@ def purity_min_solution(a, n: int | None = None) -> PurityQpSolution:
     return PurityQpSolution(value=float(purity_min(a, n)), p=p, kkt_residual=res)
 
 
-def purity_min(a, n: int | None = None):
-    """Worst-case purity consistent with the generator measurements."""
-    f = fidelity_min(a)
-    n = np.shape(a)[-1] if n is None else n
+def _purity(f, n: int):
     f = np.maximum(f, 0.5 ** n)
     # (1 - f)^2 / (2^n - 1) with the 2^-n applied last, so nothing overflows
     return f * f + np.ldexp((1.0 - f) ** 2 / (1.0 - 0.5 ** n), -n)
+
+
+def purity_min(a, n: int | None = None):
+    """Worst-case purity consistent with the generator measurements."""
+    return _purity(fidelity_min(a), np.shape(a)[-1] if n is None else n)
 
 
 # ----------------------------------------------------------------------
 # Monte-Carlo error propagation.
 
 
-# Samples drawn and evaluated per chunk: 1.28 MB of doubles, so that every
-# draw up to 10 000 trials of 16 generators is a single chunk, while a record
-# of thousands of qubits never holds its (trials, n) matrix at once.
+# Samples drawn per chunk: 1.28 MB of doubles, so that every draw up to
+# 10 000 trials of 16 generators is a single chunk, while a record of
+# thousands of qubits never holds its (trials, n) matrix at once.
 _CHUNK_SAMPLES = 160_000
+# Samples per fused evaluation block: 128 KB of doubles, which stay in cache.
+_BLOCK_SAMPLES = 16_384
 
 
 def _sample_chunks(a, sigma, trials: int, seed: int):
-    """Row chunks of the (trials, n) draws a_i' ~ N(a_i, sigma_i), clipped to
-    [-1, 1].  The chunks are consecutive draws from one generator, so they
-    stack to the same matrix as a single draw."""
+    """Unclipped row chunks of the (trials, n) draws a_i' ~ N(a_i, sigma_i).
+    The chunks are consecutive draws from one generator, so they stack to the
+    same matrix as a single draw; z * sigma + a are Generator.normal's floats."""
+    if trials < MIN_TRIALS:
+        raise ValueError(f"use at least {MIN_TRIALS} trials")
     rng = np.random.default_rng(seed)
     rows = max(1, _CHUNK_SAMPLES // max(np.size(a), 1))
     for start in range(0, trials, rows):
-        chunk = rng.normal(a, sigma, size=(min(rows, trials - start), np.size(a)))
-        yield np.clip(chunk, -1.0, 1.0, out=chunk)
-
-
-def _per_row(bound_fns, a, sigma, trials: int, seed: int):
-    """Each bound_fn's values over all sample rows, evaluated chunk by chunk."""
-    if trials < MIN_TRIALS:
-        raise ValueError(f"use at least {MIN_TRIALS} trials")
-    parts = [[fn(chunk) for fn in bound_fns]
-             for chunk in _sample_chunks(a, sigma, trials, seed)]
-    return [np.concatenate(vals) for vals in zip(*parts)]
+        z = rng.standard_normal((min(rows, trials - start), np.size(a)))
+        yield np.add(np.multiply(z, sigma, out=z), a, out=z)
 
 
 def propagate_errors(bound_fn, a, sigma, trials: int = 10_000, seed: int = 0):
@@ -194,8 +204,21 @@ def propagate_errors(bound_fn, a, sigma, trials: int = 10_000, seed: int = 0):
 
     bound_fn maps a (rows, n) sample matrix to one value per row.
     """
-    (vals,) = _per_row([bound_fn], a, sigma, trials, seed)
+    vals = np.concatenate([bound_fn(np.clip(c, -1.0, 1.0, out=c))
+                           for c in _sample_chunks(a, sigma, trials, seed)])
     return {"mean": float(vals.mean()), "std": float(vals.std())}
+
+
+def _sampled_bounds(a, sigma, b_size: int, trials: int, seed: int) -> np.ndarray:
+    """Rows F_min, p_min, R_Gmin, E_Rmin per sample, one fused pass per block."""
+    n, parts = np.size(a), []
+    rows = max(1, _BLOCK_SAMPLES // n)
+    for chunk in _sample_chunks(a, sigma, trials, seed):
+        for start in range(0, len(chunk), rows):
+            x = chunk[start:start + rows]
+            f = _fidelity(np.abs(np.clip(x, -1.0, 1.0, out=x), out=x).sum(axis=-1), n)
+            parts.append((f, _purity(f, n), _robustness(f, b_size), _rel_entropy(x, b_size)))
+    return np.concatenate(parts, axis=1)
 
 
 def _std(x) -> float:
@@ -242,10 +265,7 @@ def bound_report(
     One shared sample set keeps the derived quantities (e.g. lrg vs rg)
     mutually consistent.
     """
-    f, p, rs, er = _per_row(
-        [fidelity_min, purity_min, lambda x: robustness_min(x, b_size),
-         lambda x: rel_entropy_min(x, b_size)],
-        data.a, data.sigma, trials, seed)
+    f, p, rs, er = _sampled_bounds(data.a, data.sigma, b_size, trials, seed)
     rg = robustness_min(data.a, b_size)
     return BoundReport(
         f_min=BoundValue(fidelity_min(data.a), float(f.std())),

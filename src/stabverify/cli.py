@@ -17,6 +17,7 @@ one error: line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -346,6 +347,7 @@ def cmd_robustness(args) -> int:
     return code
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="stabverify",

@@ -327,6 +327,11 @@ class TestBoundReport:
             GeneratorData(np.array([0.5, 1.5]), np.array([0.1, 0.1]))
         with pytest.raises(ValueError):
             GeneratorData(np.array([0.5]), np.array([-0.1]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^a must be finite"):
+                GeneratorData(np.array([bad, 0.9, 0.9]), np.full(3, 0.01))
+            with pytest.raises(ValueError, match="^sigma must be finite"):
+                GeneratorData(np.full(3, 0.9), np.array([0.01, bad, 0.01]))
 
     def test_sigmas_pinned(self, table1):
         # the per-sample evaluation's floats for seed 0 and 10 000 trials
@@ -369,6 +374,39 @@ def test_stacked_bounds_match_rows(data):
         lambda v: rel_entropy_min(v, b_size),
     ):
         assert np.array_equal(fn(x), np.array([fn(row) for row in x]))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_fused_pass_matches_public_functions(data):
+    # reference: one unchunked Generator.normal draw, clipped, evaluated by the
+    # public bound functions on all rows at once
+    n = data.draw(st.integers(1, 40))
+    chunk, block = bounds._CHUNK_SAMPLES // n, bounds._BLOCK_SAMPLES // n
+    edges = {bounds.MIN_TRIALS, 3 * block + 1, chunk - 1, chunk + block + 7}
+    trials = data.draw(st.sampled_from(sorted(t for t in edges if t >= bounds.MIN_TRIALS)))
+    entry = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0)
+    a = data.draw(arrays(np.float64, n, elements=entry))
+    sigma = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0]) | st.floats(0.0, 0.2)))
+    b_size, seed = data.draw(st.integers(0, n)), data.draw(st.integers(0, 2 ** 32 - 1))
+    x = np.clip(np.random.default_rng(seed).normal(a, sigma, (trials, n)), -1.0, 1.0)
+    rs = robustness_min(x, b_size)
+    rg = robustness_min(a, b_size)
+    expected = {
+        "f_min": (fidelity_min(a), fidelity_min(x).std()),
+        "p_min": (purity_min(a), purity_min(x).std()),
+        "rg_min": (rg, bounds._std(rs)),
+        "lrg_min": (log_robustness(rg), np.log2(1.0 + rs).std()),
+        "er_min": (rel_entropy_min(a, b_size), rel_entropy_min(x, b_size).std()),
+    }
+    rep = bound_report(GeneratorData(a, sigma), b_size, trials=trials, seed=seed)
+    assert {k: (v.value, v.sigma) for k, v in vars(rep).items()} == expected
+
+
+def test_rel_entropy_at_saturated_entries_raises_no_float_error():
+    with np.errstate(all="raise"):
+        v = rel_entropy_min(np.array([1.0, 1.0, 0.5]), 2)
+    assert v == 2 - binary_entropy(0.75)
 
 
 @PROPERTY_SETTINGS

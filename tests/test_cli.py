@@ -11,6 +11,7 @@ import pytest
 
 import stabverify
 from conftest import run_cli, run_json, strict_json
+from stabverify import cli
 from stabverify.cli import Report, main
 
 
@@ -239,6 +240,31 @@ class TestRobustnessCommand:
         code, rep, _ = run_json(capsys, "robustness", f, "--partitions", "1")
         assert code == 0
         assert abs(rep["sdp"]["value"]["value"] - 1.0) < 1e-5
+
+    def test_repeated_calls_carry_no_options_over(self, tmp_path, capsys):
+        # one parser serves every call in a process: appended lists and
+        # non-default choices must not leak into the next call
+        assert cli.build_parser() is cli.build_parser()
+        p = [0.0] * 8
+        p[0] = 1.0
+        f = self.write_state(tmp_path, 3, [[1, 2], [2, 3]], p)
+        calls = [
+            (["--partitions", "1", "--partitions", "2", "--method", "dense"],
+             [[1], [1, 3]], "dense"),
+            (["--partitions", "3"], [[1, 2]], "reduced"),
+            ([], [[1], [1, 2], [1, 3]], "reduced"),  # all cuts
+        ]
+        for _ in range(2):
+            for argv, partitions, method in calls:
+                code, rep, _ = run_json(capsys, "robustness", f, *argv)
+                assert code == 0
+                assert rep["input"]["partitions"] == partitions
+                assert rep["sdp"]["method"] == method
+        code, out, _ = run_cli(capsys, "robustness", f)
+        assert code == 0 and not out.lstrip().startswith("{")
+        args = cli.build_parser().parse_args(["analyze", "table1.json"])
+        assert (args.partitions, args.trials, args.seed, args.format, args.method) == (
+            None, 10_000, 0, "text", "reduced")
 
     def test_refused_certificate_exits_3_with_a_report(self, tmp_path, capsys, monkeypatch):
         import stabverify.sdp as sdp
