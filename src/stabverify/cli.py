@@ -62,7 +62,7 @@ class Report:
         self.sections[section] = payload
 
     def to_json(self) -> str:
-        return json.dumps(self.sections, indent=1, allow_nan=False)
+        return _json_text(self.sections, "")
 
     def to_text(self) -> str:
         lines = []
@@ -87,6 +87,23 @@ class Report:
             sys.stdout.write(self.to_json() + "\n")
         else:
             sys.stdout.write(self.to_text())
+
+
+# lists go on one line without spaces: a full-group record's report lists
+# all 2^n - 1 measured indices
+_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+
+
+def _json_text(value, indent: str) -> str:
+    """Strict JSON of value: an object's members one per line, indented by one
+    space more than the object; a list or scalar on one line, without spaces,
+    by the C encoder."""
+    if not isinstance(value, dict) or not value:
+        return _ENCODER.encode(value)
+    inner = indent + " "
+    members = ",\n".join(f"{inner}{_ENCODER.encode(key)}: {_json_text(v, inner)}"
+                          for key, v in value.items())
+    return "{\n" + members + "\n" + indent + "}"
 
 
 def _resolve_data_path(path: str) -> str:
@@ -317,7 +334,7 @@ def cmd_simulate(args) -> int:
         return EXIT_BAD_INPUT
     m = exact_expectations(state)
     ks = record.measured_indices()
-    print(f"wrote {args.out} ({len(record.entries)} entries, {args.shots} shots)")
+    print(f"wrote {args.out} ({record.k.size} entries, {args.shots} shots)")
     print("exact expectations:")
     for k, pauli in zip(ks, StabilizerCodec(graph, frame).encode(ks)):
         print(f"  k={k:0{graph.n}b} {pauli:>{graph.n + 1}}  m = {m[k]:.12g}")

@@ -49,10 +49,11 @@ def _hadamard(bits):
     return h
 
 
+@functools.cache
 def _factor_bits(n):
     """Split n into balanced factor widths <= _FACTOR_BITS, two or more from n = 2."""
     k = max(-(-n // _FACTOR_BITS), min(n, 2), 1)
-    return [n // k + (i < n % k) for i in range(k)]
+    return tuple(n // k + (i < n % k) for i in range(k))
 
 
 def fwht(a):
@@ -77,19 +78,29 @@ def fwht(a):
 # Simplex projection (Held/Condat sort-based, exact).
 
 
+@functools.cache
+def _ranks(size):
+    """Read-only 1.0, 2.0, ..., size."""
+    j = np.arange(1.0, size + 1.0)
+    j.flags.writeable = False
+    return j
+
+
 def simplex_project(y):
     u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, y.size + 1)
-    t = (css - 1.0) / j
-    rho = np.nonzero(u - t > 0)[0][-1]
-    return np.maximum(y - t[rho], 0.0)
+    t = np.add.accumulate(u)
+    t -= 1.0
+    t /= _ranks(y.size)
+    rho = y.size - 1 - np.argmax((u > t)[::-1])  # the last j with u_j > t_j
+    out = y - t[rho]
+    return np.maximum(out, 0.0, out=out)
 
 
 # ----------------------------------------------------------------------
 # Accelerated projected gradient (FISTA; Beck & Teboulle 2009) for
 # min_p sum_k w_k ((H p)_k - v_k)^2 over the simplex.  H is the +/-1
-# character matrix applied via fwht; idx selects measured rows.  Weights are
+# character matrix applied via fwht; idx selects the measured rows, by an
+# index array or, for the full group, by the slice 1: (no gather).  Weights are
 # normalized internally so the stationarity residual is measured on an
 # O(1)-scaled objective.  The step 1/L uses the gradient's exact Lipschitz
 # constant: H' diag(w) H is an XOR convolution, whose spectrum is the Walsh
@@ -107,16 +118,18 @@ def pg_fit(idx, values, weights, p0, max_iter, tol):
     D = p0.size
     w = weights / weights.sum()
     L = 1.05 * 2.0 * D * w.max()
+    w2 = 2.0 * w  # the gradient is 2 H' diag(w) (H p - v)
     p = p_prev = p0.copy()
+    r = np.zeros(D)  # rows outside idx stay 0
     g_prev = 0.0
     t = 1.0
     kkt = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        r = np.zeros(D)
-        r[idx] = w * (fwht(p)[idx] - values)
-        g = 2.0 * fwht(r)
-        kkt = np.max(np.abs(p - simplex_project(p - g)))
+        r[idx] = w2 * (fwht(p)[idx] - values)
+        g = fwht(r)
+        d = simplex_project(p - g)
+        kkt = np.abs(np.subtract(p, d, out=d), out=d).max()
         if kkt <= tol:
             break
         t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t) ** 0.5)

@@ -61,11 +61,16 @@ def pauli_to_matrix(p: PauliString) -> np.ndarray:
 
 
 def _frame_unitary_1q(image_x, image_z) -> np.ndarray:
-    """2x2 unitary u with u X u^dag = image_x and u Z u^dag = image_z."""
+    """2x2 unitary u with u X u^dag = image_x and u Z u^dag = image_z.
+
+    Its columns are b and A b, with b the +1 eigenvector of B = image_z.
+    I + B is twice the projector onto it, a rank-one matrix, so b is its
+    normalized nonzero column: real when B is +/-X or +/-Z.
+    """
     A = image_x[2] * PAULI_1Q[(image_x[0], image_x[1])]
     B = image_z[2] * PAULI_1Q[(image_z[0], image_z[1])]
-    w, V = np.linalg.eig(B)  # B is a +/-1 involution
-    b = V[:, np.argmax(w.real)]
+    P = np.eye(2) + B
+    b = P[:, 0] if P[0, 0] != 0 else P[:, 1]  # P[0, 0] is 0 only for B = -Z
     b = b / np.linalg.norm(b)
     return np.column_stack([b, A @ b])
 

@@ -336,6 +336,39 @@ for _c, (_bx, _bz) in _CHAR_TO_BITS.items():
 _CODE_LETTER = np.frombuffer(b"IXZY", dtype=np.uint8)
 
 
+# Group indices of up to this many qubits are int64; past it, exact Python ints.
+INT64_INDEX_QUBITS = 62
+
+
+def index_column(bits: np.ndarray) -> np.ndarray:
+    """Group index of each column of an (n, rows) array of 0/1 bits, bit a-1 in
+    row a-1: int64 up to INT64_INDEX_QUBITS qubits, else an object array of
+    Python ints."""
+    n, rows = bits.shape
+    if n <= INT64_INDEX_QUBITS:
+        k = np.zeros(rows, dtype=np.int64)
+        for a, row in enumerate(bits):
+            k |= row.astype(np.int64) << a
+        return k
+    packed = np.packbits(bits, axis=0, bitorder="little").T  # (rows, bytes)
+    width = packed.shape[1]
+    buf = np.ascontiguousarray(packed).tobytes()
+    return np.array([int.from_bytes(buf[i:i + width], "little")
+                     for i in range(0, rows * width, width)], dtype=object)
+
+
+def index_bits(ks, n: int) -> np.ndarray:
+    """(n, rows) 0/1 bits of group indices k in [0, 2^n), the inverse of index_column."""
+    if n <= INT64_INDEX_QUBITS:
+        words = np.asarray(ks if isinstance(ks, np.ndarray) else list(ks), dtype=np.int64)
+        raw = words.astype("<u8").view(np.uint8).reshape(-1, 8)
+    else:
+        width = (n + 7) // 8
+        buf = b"".join(k.to_bytes(width, "little") for k in ks)
+        raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").T.copy()
+
+
 def _map_bits(m, x: np.ndarray, z: np.ndarray):
     """Per-qubit GF(2) map m = (a, b, c, d): (x, z) -> (a x ^ b z, c x ^ d z)."""
     a, b, c, d = (v[:, None] for v in m)
@@ -356,9 +389,9 @@ class StabilizerCodec:
     number of neighbors of a inside k.  The frame maps the (x, z) bits of each
     qubit by a fixed invertible 2x2 matrix over GF(2) and multiplies in the
     sign of that qubit's X, Y or Z image, so it moves no information between
-    qubits.  Rows are decoded and encoded together as (n, rows) bit arrays:
-    time and memory are O(rows * n) plus one pass over the edges, and the
-    2^n group is never built.
+    qubits.  Rows are decoded and encoded together as (n, rows) bit arrays,
+    with no loop over rows: time and memory are O(rows * n) plus one pass
+    over the edges, and the 2^n group is never built.
     """
 
     def __init__(self, graph: Graph, frame: LocalFrame):
@@ -387,7 +420,7 @@ class StabilizerCodec:
         """c_a = |N(a) & k| per row, mod 256 (which keeps c_a mod 4)."""
         c = np.empty_like(x)
         for a, nb in enumerate(self._neighbors):
-            np.sum(x[nb], axis=0, dtype=np.uint8, out=c[a])
+            np.add.reduce(x[nb], axis=0, dtype=np.uint8, out=c[a])
         return c
 
     def _negative(self, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -397,47 +430,54 @@ class StabilizerCodec:
         t ^= (neg_x & x & ~z) ^ (neg_y & x & z) ^ (neg_z & ~x & z)
         return np.bitwise_xor.reduce(t & 1, axis=0)
 
-    def decode(self, texts) -> list:
-        """Group index of each Pauli text ("-YZX", "+XZI", "XZI"), or None
-        where the text is not an element of this group: a wrong sign, a
-        wrong length, a letter other than I, X, Y, Z, or a non-member."""
-        texts = list(texts)
+    def indices(self, texts) -> tuple[np.ndarray, np.ndarray]:
+        """(k, member) of Pauli texts ("-YZX", "+XZI", "XZI").  k[i] is the
+        group index of text i (an ``index_column``), and member[i] is False
+        where the text is not an element of this group: a wrong sign, a wrong
+        length, a letter other than I, X, Y, Z, or a non-member.  k[i] means
+        nothing there."""
+        texts = texts if isinstance(texts, list) else list(texts)
+        lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+        start = np.cumsum(lengths + 1) - (lengths + 1)
+        buf = "\n".join(texts).encode("ascii", "replace")
         n = self.n
-        signs = np.zeros(len(texts), dtype=np.uint8)
-        bodies = []
-        for i, text in enumerate(texts):
-            body = text[1:] if text[:1] in ("+", "-") else text
-            signs[i] = text[:1] == "-"
-            ok = len(body) == n and body.isascii()
-            bodies.append(body.encode("ascii") if ok else b"?" * n)
-        codes = _LETTER_CODE[np.frombuffer(b"".join(bodies), dtype=np.uint8)]
-        codes = np.ascontiguousarray(codes.reshape(len(texts), n).T)  # (n, rows)
-        valid = (codes < 4).all(axis=0)
+        # one byte per character, anything beyond ASCII a '?' (no letter);
+        # the padding keeps every row's n-byte window inside the buffer
+        buf = np.frombuffer(buf + b"?" * (n + 1), dtype=np.uint8)
+        negative = buf[start] == ord("-")
+        signed = negative | (buf[start] == ord("+"))
+        member = lengths - signed == n
+        body = np.where(member, start + signed, 0)
+        codes = np.take(_LETTER_CODE, buf[body + np.arange(n)[:, None]])  # (n, rows)
+        member &= (codes < 4).all(axis=0)
         x, z = _map_bits(self._inverse, codes & 1, codes >> 1)
         c = self._neighbor_counts(x)
-        valid &= (z == c & 1).all(axis=0)
-        valid &= self._negative(x, z, c) == signs
-        packed = np.ascontiguousarray(np.packbits(x, axis=0, bitorder="little").T)
-        width = packed.shape[1]
-        buf = packed.tobytes()
-        return [int.from_bytes(buf[i * width:(i + 1) * width], "little") if ok else None
-                for i, ok in enumerate(valid.tolist())]
+        member &= (z == c & 1).all(axis=0)
+        member &= self._negative(x, z, c) == negative
+        return index_column(x), member
+
+    def decode(self, texts) -> list:
+        """Group index of each Pauli text, or None where ``indices`` finds it
+        is not an element of this group."""
+        k, member = self.indices(texts)
+        out = k.tolist()
+        for i in np.flatnonzero(~member).tolist():
+            out[i] = None
+        return out
 
     def encode(self, ks) -> list[str]:
         """Pauli text of each group index k in [0, 2^n), as ``str(group[k])``."""
-        ks = list(ks)
-        n = self.n
-        width = (n + 7) // 8
-        buf = b"".join(k.to_bytes(width, "little") for k in ks)
-        x = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(ks), width),
-                          axis=1, count=n, bitorder="little").T.copy()  # (n, rows)
+        x = index_bits(ks, self.n)
         c = self._neighbor_counts(x)
         z = c & 1
         negative = self._negative(x, z, c)
         xp, zp = _map_bits(self._forward, x, z)
-        letters = _CODE_LETTER[(xp | zp << 1).T].tobytes().decode("ascii")
-        return [("-" if s else "") + letters[i * n:(i + 1) * n]
-                for i, s in enumerate(negative.tolist())]
+        # rows "<sign>letters\n" with a blank for no sign, split on whitespace
+        rows = np.empty((x.shape[1], self.n + 2), dtype=np.uint8)
+        rows[:, 0] = np.where(negative, ord("-"), ord(" "))
+        rows[:, 1:-1] = _CODE_LETTER[(xp | zp << 1).T]
+        rows[:, -1] = ord("\n")
+        return rows.tobytes().decode("ascii").split()
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ A record row names its stabilizer element either by the index string 'k' or
 by the signed operator text 'pauli' in the record's frame.  Reading and
 writing 'pauli' texts goes through ``pauli.StabilizerCodec``, which decodes
 and encodes all rows in one O(rows * n) batch, so no record form builds the
-2^n group and records of any n parse.
+2^n group and records of any n parse.  A record is held as columns (k, value,
+sigma, shots), and a document's rows are read and checked a field at a time,
+one column each.  A document that fails a column check is checked again
+row by row, which names its first bad row.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import repeat
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .operators import shannon_entropy
-from .pauli import Graph, LocalFrame, StabilizerCodec
+from .pauli import INT64_INDEX_QUBITS, Graph, LocalFrame, StabilizerCodec, index_column
 
 
 class RecordFormatError(ValueError):
@@ -39,70 +44,169 @@ class MeasurementEntry(NamedTuple):
     shots: int | None = None
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Stabilizer expectation data for one experiment.
+def _int_column(ints) -> np.ndarray:
+    """int64 array of Python ints, or an object array where one is beyond int64."""
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
 
-    entries maps the stabilizer group index k (bit a-1 set = generator a in
-    the product) to a measured expectation with uncertainty.
+
+def _first_repeat(k: np.ndarray) -> int | None:
+    """Row of the first index that an earlier row already holds, or None."""
+    if k.size < 2 or np.asarray(k[1:] > k[:-1], dtype=bool).all():
+        return None
+    order = np.argsort(k, kind="stable")  # equal indices keep their row order
+    ordered = k[order]
+    later = order[1:][np.asarray(ordered[1:] == ordered[:-1], dtype=bool)]
+    return int(later.min()) if later.size else None
+
+
+class MeasurementRecord:
+    """Stabilizer expectation data for one experiment, held as four columns.
+
+    Row i measured the stabilizer group element k[i] (bit a-1 set = generator
+    a in the product) with expectation value[i] and uncertainty sigma[i] over
+    shots[i] shots, 0 where the row gives no count.  k is int64, or an object
+    array of exact Python ints past ``INT64_INDEX_QUBITS`` qubits; shots is
+    int64 unless a count is beyond it; value and sigma are float64.  The
+    columns keep the row order and are read-only.  ``entries`` maps k to a
+    MeasurementEntry for code that reads rows one at a time; it is built on
+    first read.
     """
 
-    graph: Graph
-    frame: LocalFrame
-    entries: dict[int, MeasurementEntry]
+    __slots__ = ("graph", "frame", "k", "value", "sigma", "shots", "_entries", "_full")
 
-    def __post_init__(self):
-        dim = 1 << self.graph.n
-        for k, e in self.entries.items():
-            if not 0 <= k < dim:
-                raise RecordFormatError(f"stabilizer index {k} outside [0, {dim})")
-            if not -1.0 <= e.value <= 1.0:
-                raise RecordFormatError(f"entry {k}: value {e.value} outside [-1, 1]")
-            if e.sigma < 0:
-                raise RecordFormatError(f"entry {k}: negative sigma {e.sigma}")
-        if 0 in self.entries:
-            e = self.entries[0]
-            if abs(e.value - 1.0) > 1e-9 or e.sigma > 1e-9:
-                raise RecordFormatError(
-                    "identity entry (k=0) must have value 1 and sigma 0"
-                )
+    def __init__(self, graph: Graph, frame: LocalFrame, entries: Mapping[int, MeasurementEntry]):
+        rows = entries.values()
+        self._set_columns(graph, frame, list(entries), [e.value for e in rows],
+                          [e.sigma for e in rows], [e.shots or 0 for e in rows])
+
+    @classmethod
+    def from_columns(cls, graph: Graph, frame: LocalFrame, k, value, sigma,
+                     shots) -> "MeasurementRecord":
+        """A record from copies of its columns."""
+        record = cls.__new__(cls)
+        record._set_columns(graph, frame, k, value, sigma, shots)
+        return record
+
+    def _set_columns(self, graph, frame, k, value, sigma, shots):
+        columns = {
+            "k": (_int_column(k) if graph.n <= INT64_INDEX_QUBITS
+                  else np.array([int(v) for v in k], dtype=object)),
+            "value": np.array(value, dtype=np.float64),
+            "sigma": np.array(sigma, dtype=np.float64),
+            "shots": np.array(shots) if isinstance(shots, np.ndarray) else _int_column(shots),
+        }
+        if len({c.shape for c in columns.values()}) > 1 or columns["k"].ndim != 1:
+            raise ValueError("record columns must be vectors of one length")
+        for column in columns.values():
+            column.flags.writeable = False
+        for name, v in (("graph", graph), ("frame", frame), *columns.items(),
+                        ("_entries", None), ("_full", None)):
+            object.__setattr__(self, name, v)
+        self._check()
+
+    def _check(self):
+        k, value, sigma = self.k, self.value, self.sigma
+        twin = _first_repeat(k)
+        if twin is not None:
+            raise RecordFormatError(f"duplicate stabilizer index {int(k[twin])}")
+        dim = 1 << self.n
+        outside = np.asarray((k < 0) | (k >= dim), dtype=bool)
+        bad = outside | ~((value >= -1.0) & (value <= 1.0)) | (sigma < 0)
+        if bad.any():  # the first bad row, checked in the order below
+            i = int(np.argmax(bad))
+            ki, v = int(k[i]), float(value[i])
+            if outside[i]:
+                raise RecordFormatError(f"stabilizer index {ki} outside [0, {dim})")
+            if not -1.0 <= v <= 1.0:
+                raise RecordFormatError(f"entry {ki}: value {v} outside [-1, 1]")
+            raise RecordFormatError(f"entry {ki}: negative sigma {float(sigma[i])}")
+        identity = np.flatnonzero(np.asarray(k == 0, dtype=bool))
+        if identity.size and (abs(value[identity[0]] - 1.0) > 1e-9 or sigma[identity[0]] > 1e-9):
+            raise RecordFormatError("identity entry (k=0) must have value 1 and sigma 0")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: records are read-only")
+
+    def __reduce__(self):  # copy and pickle rebuild the record from its columns
+        return (MeasurementRecord.from_columns,
+                (self.graph, self.frame, self.k, self.value, self.sigma, self.shots))
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasurementRecord):
+            return NotImplemented
+        return (self.graph, self.frame) == (other.graph, other.frame) and self.entries == other.entries
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"MeasurementRecord(graph={self.graph!r}, frame={self.frame!r}, rows={self.k.size})"
 
     @property
     def n(self) -> int:
         return self.graph.n
 
+    @property
+    def entries(self) -> Mapping[int, MeasurementEntry]:
+        """Read-only mapping k -> MeasurementEntry, in row order."""
+        if self._entries is None:
+            shots = [s or None for s in self.shots.tolist()]
+            rows = map(MeasurementEntry, self.value.tolist(), self.sigma.tolist(), shots)
+            object.__setattr__(self, "_entries",
+                               MappingProxyType(dict(zip(self.k.tolist(), rows))))
+        return self._entries
+
+    def _non_identity(self) -> int:
+        return self.k.size - int(np.count_nonzero(np.asarray(self.k == 0, dtype=bool)))
+
     def has_full_group(self) -> bool:
-        return len(self.entries.keys() - {0}) == (1 << self.n) - 1
+        return self._non_identity() == (1 << self.n) - 1
+
+    def _generator_rows(self) -> np.ndarray:
+        """Row of each generator's entry, -1 where it has none."""
+        rows = np.full(self.n, -1, dtype=np.intp)
+        k = self.k
+        if k.dtype == object:  # past INT64_INDEX_QUBITS qubits
+            for i, ki in enumerate(k.tolist()):
+                if ki and not ki & (ki - 1):
+                    rows[ki.bit_length() - 1] = i
+        else:
+            single = np.flatnonzero((k > 0) & (k & (k - 1) == 0))
+            rows[np.frexp(k[single].astype(np.float64))[1] - 1] = single
+        return rows
 
     def has_generators(self) -> bool:
-        return all((1 << a) in self.entries for a in range(self.n))
+        return bool((self._generator_rows() >= 0).all())
 
-    def full_vector(self) -> np.ndarray:
-        """(values, sigmas) over the whole group; requires the full group."""
-        missing = (1 << self.n) - 1 - len(self.entries.keys() - {0})
-        if missing:
-            raise ValueError(
-                f"full stabilizer group required; missing {missing} indices"
-            )
-        dim = 1 << self.n
-        m = np.ones(dim)
-        s = np.zeros(dim)
-        k = np.fromiter(self.entries, np.int64, len(self.entries))
-        m[k] = np.fromiter((e.value for e in self.entries.values()), np.float64, k.size)
-        s[k] = np.fromiter((e.sigma for e in self.entries.values()), np.float64, k.size)
-        return m, s
+    def full_vector(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, sigmas) over the whole group, read-only; requires the full group."""
+        if self._full is None:
+            dim = 1 << self.n
+            missing = dim - 1 - self._non_identity()
+            if missing:
+                raise ValueError(
+                    f"full stabilizer group required; missing {missing} indices"
+                )
+            m = np.ones(dim)
+            s = np.zeros(dim)
+            m[self.k] = self.value
+            s[self.k] = self.sigma
+            m.flags.writeable = s.flags.writeable = False
+            object.__setattr__(self, "_full", (m, s))
+        return self._full
 
     def generator_values(self) -> tuple[np.ndarray, np.ndarray]:
         """(a, sigma) for the n single-generator entries."""
-        if not self.has_generators():
-            missing = [a + 1 for a in range(self.n) if (1 << a) not in self.entries]
+        rows = self._generator_rows()
+        if (rows < 0).any():
+            missing = (np.flatnonzero(rows < 0) + 1).tolist()
             raise ValueError(f"generator entries missing for vertices {missing}")
-        a = np.array([self.entries[1 << i].value for i in range(self.n)])
-        s = np.array([self.entries[1 << i].sigma for i in range(self.n)])
-        return a, s
+        return self.value[rows], self.sigma[rows]
 
     def measured_indices(self) -> list[int]:
-        return sorted(self.entries)
+        return np.sort(self.k).tolist()
 
 
 @dataclass(frozen=True)
@@ -173,7 +277,8 @@ def expectations_from_populations(p) -> np.ndarray:
 
 
 def raw_fidelity(record: MeasurementRecord) -> tuple[float, float]:
-    """Average of all 2^n stabilizer expectations, with quadrature sigma."""
+    """Average of all 2^n stabilizer expectations, with quadrature sigma
+    (from the record's cached ``full_vector``)."""
     m, s = record.full_vector()
     dim = m.size
     return float(m.sum() / dim), float(np.sqrt((s ** 2).sum()) / dim)
@@ -194,17 +299,14 @@ def _fit_data(record: MeasurementRecord) -> tuple:
     the binomial estimate and 1/shots: a sample mean of exactly +/-1 has zero
     binomial estimate but still an O(1/shots) true uncertainty.
     """
-    entries = record.entries.values()
-    k = np.fromiter(record.entries, np.int64, len(entries))
-    value = np.fromiter((e.value for e in entries), np.float64, k.size)
-    sigma = np.fromiter((e.sigma for e in entries), np.float64, k.size)
-    shots = np.fromiter((e.shots or np.nan for e in entries), np.float64, k.size)
-    # fmax skips the NaN floors of entries without shots
-    sigma = np.fmax(sigma, np.fmax(np.sqrt(np.maximum(1.0 - value ** 2, 0.0) / shots),
-                                   1.0 / shots))
-    order = np.argsort(k)
-    order = order[k[order] != 0]
-    k, value, sigma = k[order], value[order], sigma[order]
+    value = record.value
+    shots = record.shots.astype(np.float64)
+    shots[shots == 0] = np.nan  # fmax skips the NaN floors of rows without shots
+    sigma = np.fmax(record.sigma, np.fmax(np.sqrt(np.maximum(1.0 - value ** 2, 0.0) / shots),
+                                          1.0 / shots))
+    order = np.argsort(record.k)
+    order = order[record.k[order] != 0]
+    k, value, sigma = record.k[order], value[order], sigma[order]
     if (sigma <= 0).any():
         raise ValueError(f"entry {k[np.argmax(sigma <= 0)]} needs a positive sigma "
                          "(or shots) for the fit")
@@ -221,17 +323,29 @@ def ml_fit(record: MeasurementRecord, start: np.ndarray | None = None) -> GraphD
     Minimizes sum_k w_k (<S_k>_p - value_k)^2 with w_k = 1/sigma_k^2 over
     physical populations p, by accelerated projected gradient (``kernels.pg_fit``:
     FISTA with adaptive restart, step 1/L from the gradient's exact Lipschitz
-    constant L).  The identity entry is exact for any p and is skipped.
-    Deterministic for the default uniform start.
+    constant L), to a KKT residual of at most ``ML_TOL``.  The identity entry
+    is exact for any p and is skipped.  The default start is the simplex
+    projection of the raw populations fwht(m) / 2^n, with m_0 = 1 and every
+    unmeasured m_k taken as 0.  For the full group with equal weights that
+    start is already the minimizer, since the objective is then 2^n times the
+    squared distance from p to the raw populations.  A full group's rows are
+    selected by a slice, any other record's by an index array.
     """
-    if not record.entries:
+    if not record.k.size:
         raise ValueError("empty measurement record")
     k, values, weights = _fit_data(record)
     if not k.size:
         raise ValueError("record has no non-identity entries")
     dim = 1 << record.n
-    p0 = np.full(dim, 1.0 / dim) if start is None else np.asarray(start, dtype=float)
-    p, kkt, _ = kernels.pg_fit(k, values, weights, p0.astype(np.float64), ML_MAX_ITER, ML_TOL)
+    rows = slice(1, None) if k.size == dim - 1 else k
+    if start is None:
+        m = np.zeros(dim)
+        m[0] = 1.0
+        m[rows] = values
+        p0 = kernels.simplex_project(kernels.fwht(m) / dim)
+    else:
+        p0 = np.asarray(start, dtype=np.float64)
+    p, kkt, _ = kernels.pg_fit(rows, values, weights, p0, ML_MAX_ITER, ML_TOL)
     if kkt > ML_TOL:
         raise RuntimeError(f"fit did not reach the target residual ({kkt:.2e})")
     return GraphDiagonalState(p)
@@ -277,74 +391,159 @@ def _number_error(i: int, key: str, v, kind=float) -> RecordFormatError:
     return RecordFormatError(f"measurements[{i}]: '{key}' must be {expected}, got {v!r}")
 
 
+def _check_row(i: int, row, n: int):
+    """Raise the diagnostic of row i if it is malformed: the key comes before
+    'shots', 'value' and 'sigma'.  Numbers are never coerced: 'value', 'sigma'
+    and 'shots' must be finite JSON numbers."""
+    if not isinstance(row, dict):
+        raise RecordFormatError(f"measurements[{i}]: must be an object")
+    if "value" not in row:
+        raise RecordFormatError(f"measurements[{i}]: missing 'value'")
+    key = "k" if "k" in row else "pauli" if "pauli" in row else None
+    if key is None:
+        raise RecordFormatError(f"measurements[{i}]: need either 'k' or 'pauli'")
+    k = row[key]
+    if not isinstance(k, str):
+        raise RecordFormatError(f"measurements[{i}]: '{key}' must be a string, got {k!r}")
+    if key == "k":
+        if len(k) != n or not set(k) <= {"0", "1"}:
+            raise RecordFormatError(
+                f"measurements[{i}]: bad stabilizer index string {k!r} for n={n}")
+    elif len(k.strip().upper()) < n:
+        raise RecordFormatError(
+            f"measurements[{i}]: operator {k.strip().upper()!r} has fewer than {n} qubits")
+    if "shots" in row:
+        shots = row["shots"]
+        if type(shots) is not int or not -_MAX_DOUBLE <= shots <= _MAX_DOUBLE:
+            raise _number_error(i, "shots", shots, int)
+        if shots < 1:
+            raise RecordFormatError(
+                f"measurements[{i}]: 'shots' must be at least 1, got {shots!r}")
+    for name, v in (("value", row["value"]), ("sigma", row.get("sigma", 0.0))):
+        if type(v) not in _JSON_NUMBER[float] or not -_MAX_DOUBLE <= v <= _MAX_DOUBLE:
+            raise _number_error(i, name, v)
+
+
+class _Absent:
+    """Stands for a field that a row leaves out."""
+
+
+_ABSENT = _Absent()
+
+# Each column reader returns the column, or None where a row fails its check.
+
+
+def _float_column(col: list) -> np.ndarray | None:
+    """float64 column of finite JSON numbers (int or float, never bool)."""
+    types = set(map(type, col))
+    if types <= {int, float} and (
+            int not in types or all(-_MAX_DOUBLE <= v <= _MAX_DOUBLE for v in col)):
+        a = np.fromiter(col, np.float64, len(col))
+        if np.isfinite(a).all():
+            return a
+    return None
+
+
+def _shots_column(col: list) -> np.ndarray | None:
+    """Shot counts, JSON integers of at least 1; 0 where a row has none."""
+    types = set(map(type, col))
+    if not types <= {int, _Absent}:
+        return None
+    absent = _Absent in types
+    a = _int_column([1 if v is _ABSENT else v for v in col] if absent else col)
+    if np.asarray((a < 1) | (a > _MAX_DOUBLE), dtype=bool).any():
+        return None
+    if absent:
+        a[np.array([v is _ABSENT for v in col])] = 0
+    return a
+
+
+def _k_strings(col: list, n: int) -> np.ndarray | None:
+    """Group indices of 'k' strings, whose character a is bit a-1."""
+    if not all(isinstance(v, str) and len(v) == n for v in col):
+        return None
+    chars = np.frombuffer("".join(col).encode("ascii", "replace"), dtype=np.uint8)
+    bits = chars.reshape(len(col), n) - ord("0")
+    return index_column(bits.T) if (bits <= 1).all() else None
+
+
+def _pauli_texts(col: list, n: int) -> list | None:
+    """The 'pauli' texts stripped and in capitals, each of at least n characters."""
+    if not all(map(isinstance, col, repeat(str))):
+        return None
+    texts = [v.strip().upper() for v in col]
+    return texts if min(map(len, texts), default=n) >= n else None
+
+
+# the fields a row may hold, each with its value where the row leaves it out
+_FIELDS = {"k": _ABSENT, "pauli": _ABSENT, "value": _ABSENT, "sigma": 0.0, "shots": _ABSENT}
+
+
+def _field_columns(rows: list) -> dict:
+    """Each field of _FIELDS as a column over the rows, a pass per field; a
+    row that is not an object holds no field."""
+    try:
+        return {f: list(map(dict.get, rows, repeat(f), repeat(v))) for f, v in _FIELDS.items()}
+    except TypeError:
+        return _field_columns([r if isinstance(r, dict) else {} for r in rows])
+
+
 def _read_rows(d: dict, n: int) -> tuple:
-    """(keys, entries, at) of the measurement rows, checked and built in one pass;
-    the key of each row listed in ``at`` is still its 'pauli' text.  Numbers are
-    never coerced: 'value', 'sigma' and 'shots' must be finite JSON numbers."""
+    """(k, value, sigma, shots, at, texts) of the measurement rows.
+
+    k holds the index of each 'k' row; the rows at the positions ``at`` are
+    keyed by their 'pauli' texts instead, stripped and in capitals.  Each
+    field is read and checked as one column.  When a column fails its check,
+    the rows are checked one by one with ``_check_row``, which raises the
+    first bad row's diagnostic.
+    """
     rows = d.get("measurements")
     if not isinstance(rows, list) or not rows:
         raise RecordFormatError("'measurements' must be a nonempty list of rows")
-    keys, entries, at = [], [], []
-    number = _JSON_NUMBER[float]
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise RecordFormatError(f"measurements[{i}]: must be an object")
-        if "value" not in row:
-            raise RecordFormatError(f"measurements[{i}]: missing 'value'")
-        key = "k" if "k" in row else "pauli" if "pauli" in row else None
-        if key is None:
-            raise RecordFormatError(f"measurements[{i}]: need either 'k' or 'pauli'")
-        k = row[key]
-        if not isinstance(k, str):
-            raise RecordFormatError(f"measurements[{i}]: '{key}' must be a string, got {k!r}")
-        if key == "k":
-            if len(k) != n or not set(k) <= {"0", "1"}:
-                raise RecordFormatError(
-                    f"measurements[{i}]: bad stabilizer index string {k!r} for n={n}")
-            k = int(k[::-1], 2)  # character a is bit a
-        else:
-            k = k.strip().upper()
-            if len(k) < n:
-                raise RecordFormatError(
-                    f"measurements[{i}]: operator {k!r} has fewer than {n} qubits")
-            at.append(i)
-        shots = row.get("shots")
-        if "shots" in row:
-            if type(shots) is not int or not -_MAX_DOUBLE <= shots <= _MAX_DOUBLE:
-                raise _number_error(i, "shots", shots, int)
-            if shots < 1:
-                raise RecordFormatError(
-                    f"measurements[{i}]: 'shots' must be at least 1, got {shots!r}")
-        value = row["value"]
-        if type(value) not in number or not -_MAX_DOUBLE <= value <= _MAX_DOUBLE:
-            raise _number_error(i, "value", value)
-        sigma = row.get("sigma", 0.0)
-        if type(sigma) not in number or not -_MAX_DOUBLE <= sigma <= _MAX_DOUBLE:
-            raise _number_error(i, "sigma", sigma)
-        keys.append(k)
-        entries.append(MeasurementEntry(float(value), float(sigma), shots))
-    return keys, entries, at
+    columns = _field_columns(rows)
+    keys, texts = columns["k"], columns["pauli"]
+    if keys.count(_ABSENT) == len(rows):  # every row keyed by 'pauli'
+        at, keys = np.arange(len(rows)), []
+    else:
+        at = np.flatnonzero([v is _ABSENT for v in keys])
+        keys = [v for v in keys if v is not _ABSENT] if at.size else keys
+        texts = [texts[i] for i in at]
+    read = (_k_strings(keys, n), _float_column(columns["value"]),
+            _float_column(columns["sigma"]), _shots_column(columns["shots"]),
+            _pauli_texts(texts, n))
+    if any(c is None for c in read):
+        for i, row in enumerate(rows):
+            _check_row(i, row, n)
+    k, value, sigma, shots, texts = read
+    return k, value, sigma, shots, at, texts
 
 
 def record_from_json_dict(d: dict) -> MeasurementRecord:
-    graph, frame, (keys, rows, at) = _read_header(d, _read_rows)
-    # 'pauli' texts are decoded in one batch; a non-member keeps its text as key
-    decoded = StabilizerCodec(graph, frame).decode([keys[i] for i in at]) if at else []
-    for i, k in zip(at, decoded):
-        if k is not None:
-            keys[i] = k
-    entries = dict(zip(keys, rows))
-    if None in decoded or len(entries) < len(keys):  # name the first bad row
-        seen = set()
-        for i, k in enumerate(keys):
-            if isinstance(k, str):
-                raise RecordFormatError(
-                    f"measurements[{i}]: operator {k!r} is not a stabilizer element "
-                    "of this graph and frame (check the sign)")
-            if k in seen:
-                raise RecordFormatError(f"measurements[{i}]: duplicate stabilizer index {k}")
-            seen.add(k)
-    return MeasurementRecord(graph=graph, frame=frame, entries=entries)
+    graph, frame, (k, value, sigma, shots, at, texts) = _read_header(d, _read_rows)
+    size = value.size
+    members = np.ones(size, dtype=bool)
+    if at.size:  # 'pauli' texts are decoded in one batch
+        decoded, member = StabilizerCodec(graph, frame).indices(texts)
+        if at.size == size:
+            k, members = decoded, member
+        else:
+            keyed, k = k, np.empty(size, dtype=decoded.dtype)
+            k[np.setdiff1d(np.arange(size), at)] = keyed
+            k[at] = decoded
+            members[at] = member
+    # name the first row that is no stabilizer element or repeats an index
+    stranger = size if members.all() else int(np.argmin(members))
+    rows = np.flatnonzero(members) if stranger < size else np.arange(size)
+    twin = _first_repeat(k[rows])
+    twin = size if twin is None else int(rows[twin])
+    if stranger < twin:
+        text = texts[int(np.searchsorted(at, stranger))]
+        raise RecordFormatError(
+            f"measurements[{stranger}]: operator {text!r} is not a stabilizer element "
+            "of this graph and frame (check the sign)")
+    if twin < size:
+        raise RecordFormatError(f"measurements[{twin}]: duplicate stabilizer index {k[twin]}")
+    return MeasurementRecord.from_columns(graph, frame, k, value, sigma, shots)
 
 
 def _read_populations(d: dict, n: int) -> GraphDiagonalState:
@@ -364,19 +563,22 @@ def state_from_json_dict(d: dict) -> tuple[Graph, LocalFrame, GraphDiagonalState
 
 
 def record_to_json_dict(record: MeasurementRecord) -> dict:
-    ks = record.measured_indices()
-    paulis = StabilizerCodec(record.graph, record.frame).encode(ks)
+    """The record document, rows in index order, each keyed by both 'k' and 'pauli'."""
+    order = np.argsort(record.k, kind="stable")
+    k = record.k[order]
+    paulis = StabilizerCodec(record.graph, record.frame).encode(k)
     rows = []
-    for k, pauli in zip(ks, paulis):
-        e = record.entries[k]
+    for ki, pauli, value, sigma, shots in zip(k.tolist(), paulis, record.value[order].tolist(),
+                                              record.sigma[order].tolist(),
+                                              record.shots[order].tolist()):
         row = {
-            "k": format(k, f"0{record.n}b")[::-1],  # character a is bit a
+            "k": format(ki, f"0{record.n}b")[::-1],  # character a is bit a
             "pauli": pauli,
-            "value": e.value,
-            "sigma": e.sigma,
+            "value": value,
+            "sigma": sigma,
         }
-        if e.shots is not None:
-            row["shots"] = e.shots
+        if shots:
+            row["shots"] = shots
         rows.append(row)
     return {
         "graph": record.graph.to_json_dict(),

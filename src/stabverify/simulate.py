@@ -9,7 +9,6 @@ import numpy as np
 from .pauli import Graph, LocalFrame
 from .reconstruct import (
     GraphDiagonalState,
-    MeasurementEntry,
     MeasurementRecord,
     expectations_from_populations,
     state_p,
@@ -91,9 +90,8 @@ def sample_record(
     prob = np.clip((1.0 + m[ks[drawn]]) / 2.0, 0.0, 1.0)
     value[drawn] = (2.0 * np.random.default_rng(seed).binomial(shots, prob) - shots) / shots
     sigma = np.sqrt(np.maximum(1.0 - value ** 2, 0.0) / shots)
-    entries = {k: MeasurementEntry(value=v, sigma=s, shots=shots)
-               for k, v, s in zip(ks.tolist(), value.tolist(), sigma.tolist())}
-    return MeasurementRecord(graph=graph, frame=frame, entries=entries)
+    return MeasurementRecord.from_columns(graph, frame, ks, value, sigma,
+                                          np.full(ks.size, shots, dtype=np.int64))
 
 
 def generator_indices(n: int) -> list[int]:

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from stabverify.cli import main
+from stabverify.pauli import Graph, LocalFrame
 from stabverify.presets import FRAME_PAPER4, FRAME_PAPER6, GRAPH_PAPER4, GRAPH_PAPER6
 
 ACCEPTANCE_LINES = []
@@ -59,3 +61,23 @@ def strict_json(text):
         raise ValueError(f"non-finite number {token} in JSON output")
 
     return json.loads(text, parse_constant=refuse)
+
+
+LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+@st.composite
+def graphs_and_frames(draw, max_n=8):
+    """Graphs on n <= max_n vertices with any edge set (empty and disconnected
+    ones included) and a valid local frame: per qubit, two distinct Pauli
+    letters as the images of X and Z, each with either sign."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    images = []
+    for _ in range(n):
+        lx, lz = draw(st.permutations("XYZ"))[:2]
+        sx, sz = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        images.append(((*LETTER_BITS[lx], sx), (*LETTER_BITS[lz], sz)))
+    return graph, LocalFrame(n, tuple(images))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -53,6 +55,56 @@ class TestAnalyzeBundled:
         code, rep, _ = run_json(capsys, "analyze", "table2.json", "--trials", "1000")
         assert code == 0
         assert json.loads(json.dumps(rep)) == rep
+
+
+class TestJsonLayout:
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        """(json, text) of analyze on a noisy 4-qubit full-group record, with
+        every section: input, raw, ml, generator_bounds and sdp."""
+        out = tmp_path_factory.mktemp("layout") / "full4.json"
+        argv = ["--trials", "1000", "--partitions", "all"]
+        assert main(["simulate", "--graph", "paper4", "--frame", "paper4", "--noise",
+                     "z=0.04", "--shots", "5000", "--seed", "2", "--out", str(out)]) == 0
+        texts = []
+        for fmt in ("json", "text"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["analyze", str(out), *argv, "--format", fmt]) == 0
+            texts.append(buf.getvalue())
+        return texts
+
+    def test_objects_indented_lists_inline(self, reports):
+        text = reports[0]
+        doc = strict_json(text)
+        assert doc["input"]["measured_indices"] == list(range(1, 16))
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}" and text.endswith("}\n")
+        depth = 0
+        for line in lines:  # objects open a line each, one space deeper
+            body = line.lstrip(" ")
+            depth -= body.startswith("}")
+            assert len(line) - len(body) == depth, line
+            depth += body.endswith("{")
+            # a list opens and closes on one line
+            assert line.count("[") == line.count("]"), line
+        assert depth == 0
+        assert '"measured_indices": [1,2,3,' in text
+        assert '"partitions": [[1],[1,2],[1,3],[1,2,3],[1,4],[1,2,4],[1,3,4]],' in text
+
+    def test_text_and_json_carry_the_same_numbers(self, reports):
+        doc, text = strict_json(reports[0]), reports[1]
+        lines = text.splitlines()
+        for section, payload in doc.items():
+            assert f"[{section}]" in lines
+            for name, leaf in payload.items():
+                if isinstance(leaf, dict) and "value" in leaf:
+                    prefix = f"  {name:<18} {leaf['value']:.12g}"
+                    if "sigma" in leaf:
+                        prefix += f" +/- {leaf['sigma']:.12g}"
+                    assert any(line.startswith(prefix) for line in lines), prefix
+                else:
+                    assert f"  {name:<18} {json.dumps(leaf)}" in lines, name
 
 
 class TestSimulate:
@@ -668,18 +720,20 @@ class TestHugeGeneratorRecord:
 
     def test_5000_qubits_in_bounded_memory(self, tmp_path):
         # the Monte-Carlo draws are evaluated in row chunks: 10 000 trials of
-        # 5000 generators would be 400 MB as one matrix
+        # 5000 generators would be 400 MB as one matrix.  The probe reports
+        # its own peak RSS, VmHWM, which exec resets; ru_maxrss would carry
+        # over the launching test process's peak across fork and exec.
         f = self.write_record(tmp_path, 5000)
-        probe = ("import resource, sys; from stabverify.cli import main; "
+        probe = ("import re, sys; from stabverify.cli import main; "
                  "code = main(sys.argv[1:]); "
-                 "print('maxrss_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
-                 "file=sys.stderr); sys.exit(code)")
+                 "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()); "
+                 "print('vmhwm_kb', hwm.group(1), file=sys.stderr); sys.exit(code)")
         src = str(Path(stabverify.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", probe, "analyze", str(f), "--format", "json"],
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 3
         assert "rg_min" in strict_json(done.stdout)["generator_bounds"]["error"]
-        peak_mb = int(re.search(r"maxrss_kb (\d+)", done.stderr).group(1)) / 1024
+        peak_mb = int(re.search(r"vmhwm_kb (\d+)", done.stderr).group(1)) / 1024
         assert peak_mb < 300
 
 

@@ -15,6 +15,7 @@ from stabverify import (
     transformed_generators,
     two_coloring,
 )
+from conftest import graphs_and_frames
 from stabverify.operators import pauli_to_matrix
 
 
@@ -246,26 +247,6 @@ class TestGraph:
         assert repr(g) == f"Graph(n={n}, edges={g.edges!r})"
         assert g.to_json_dict() == flipped.to_json_dict()
         assert Graph.from_json_dict(g.to_json_dict()) == g
-
-
-LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-
-@st.composite
-def graphs_and_frames(draw, max_n=8):
-    """Graphs on n <= max_n vertices with any edge set (empty and disconnected
-    ones included) and a valid local frame: per qubit, two distinct Pauli
-    letters as the images of X and Z, each with either sign."""
-    n = draw(st.integers(1, max_n))
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    graph = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
-    images = []
-    for _ in range(n):
-        lx, lz = draw(st.permutations("XYZ"))[:2]
-        sx, sz = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
-        images.append(((*LETTER_BITS[lx], sx), (*LETTER_BITS[lz], sz)))
-    return graph, LocalFrame(n, tuple(images))
 
 
 class TestStabilizerCodec:
