@@ -28,12 +28,15 @@ PAULI_1Q = {
 
 
 def check_hermitian(op: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """op as complex128 if it is a Hermitian matrix or a (k, d, d) stack of
+    them, each checked against its own largest entry; else a ValueError."""
     op = np.asarray(op, dtype=np.complex128)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {op.shape}")
-    dev = np.max(np.abs(op - op.conj().T))
-    if dev > tol * max(1.0, np.max(np.abs(op))):
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.2e})")
+    if op.ndim not in (2, 3) or op.shape[-1] != op.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {op.shape}")
+    dev = np.abs(op - op.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = dev > tol * np.maximum(1.0, np.abs(op).max(axis=(-2, -1)))
+    if bad.any():
+        raise ValueError(f"matrix is not Hermitian (deviation {dev[bad].max():.2e})")
     return op
 
 
@@ -125,9 +128,10 @@ def partial_transpose(op: np.ndarray, subset, n: int | None = None) -> np.ndarra
 
 
 def eig_hermitian(op: np.ndarray):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
+    matrix, or of each matrix of a (k, d, d) stack.
 
-    LAPACK ``eigh`` on the complex128 matrix; rejects non-Hermitian input.
+    LAPACK ``eigh`` on complex128; rejects non-Hermitian input.
     """
     return np.linalg.eigh(check_hermitian(op, tol=1e-10))
 

@@ -346,10 +346,7 @@ def index_column(bits: np.ndarray) -> np.ndarray:
     Python ints."""
     n, rows = bits.shape
     if n <= INT64_INDEX_QUBITS:
-        k = np.zeros(rows, dtype=np.int64)
-        for a, row in enumerate(bits):
-            k |= row.astype(np.int64) << a
-        return k
+        return (1 << np.arange(n, dtype=np.int64)) @ bits
     packed = np.packbits(bits, axis=0, bitorder="little").T  # (rows, bytes)
     width = packed.shape[1]
     buf = np.ascontiguousarray(packed).tobytes()

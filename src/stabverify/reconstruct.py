@@ -508,7 +508,7 @@ def _read_rows(d: dict, n: int) -> tuple:
         at = np.flatnonzero([v is _ABSENT for v in keys])
         keys = [v for v in keys if v is not _ABSENT] if at.size else keys
         texts = [texts[i] for i in at]
-    read = (_k_strings(keys, n), _float_column(columns["value"]),
+    read = (_k_strings(keys, n) if keys else keys, _float_column(columns["value"]),
             _float_column(columns["sigma"]), _shots_column(columns["shots"]),
             _pauli_texts(texts, n))
     if any(c is None for c in read):

@@ -23,10 +23,11 @@ Two paths, each over the given bipartitions or, for None, all of them:
     stack of complex Hermitian or real symmetric d x d matrices, paired with
     the dual stack by Re tr.  A partial transpose only permutes matrix
     positions, so the block's slack, apply and adjoint are each one scatter
-    or gather, and its Schur term comes from three gathers of each scaling
-    matrix, summed over the stack, as in the sparse Schur assembly of
-    Fujisawa, Kojima and Nakata, Math. Program. 79 (1997); no basis matrix
-    is built.  Certified by fresh complex dense eigensolves.
+    or gather, and its Schur term comes from rows of one Khatri-Rao product
+    of two column takes of each scaling matrix, summed over the stack, as in
+    the sparse Schur assembly of Fujisawa, Kojima and Nakata, Math. Program.
+    79 (1997); no basis matrix is built.  Certified by fresh complex dense
+    eigensolves, one stacked call per check.
   * ``symmetry_reduced_robustness``: for graph-diagonal rho the optimum may
     be sought among graph-diagonal sigma (stabilizer twirling preserves
     feasibility and the objective), where every partial transpose is again
@@ -273,21 +274,26 @@ class PptBlock:
         gives K[swap x, swap y] = conj K[x, y]).  That is 2 scale_i scale_k
         times the entry (index_i, index_k) of [[Re P, Im Q], [-Im P, Re Q]],
         where P = K[x, swap y] + K[x, y] and Q = K[x, swap y] - K[x, y].
-        With x = (a, b) over the pairs, and G = W_T[b, a] (one u x u gather),
-        K[x, y] = G * G' and K[x, swap y] = W_T[b, b] * W_T'[a, a]: three
-        gathers per part.  Both K are summed over the parts, and P, Q, the
-        index gather and the weights are formed once from the sums.  The real
-        symmetric coordinates (real W) need Re P alone; Q is never formed.
+        With x = (a, b) over the pairs, A = W_T[:, a] and B = W_T'[:, b], the
+        Khatri-Rao product Y[(p, q), k] = A[p, k] B[q, k] holds K[x, y] in its
+        row swap x = (b, a) and, W_T being Hermitian, conj K[x, swap y] in its
+        row x.  Only these rows are formed, as A[b] * B[a] and A[a] * B[b].
+        Both K are summed over the parts, and P, Q, the index gather and the
+        weights are formed once from the sums.  The real symmetric
+        coordinates (real W) need Re P alone; Q is never formed.
         """
-        u = len(self.base)
+        u, d = self.rows.shape[1], W.shape[1]
         kxy, kxs, g, h = (np.zeros((u, u), W.dtype) for _ in range(4))
+        wa, wb = np.empty((d, u), W.dtype), np.empty((d, u), W.dtype)
         for w, a, b in zip(W, self.rows, self.cols):
             # mode="clip" lets take write straight into out (indices are in range)
-            wb = w[b]
-            wb.take(a, axis=1, out=g, mode="clip")
-            kxy += np.multiply(g, g.T, out=h)
-            wb.take(b, axis=1, out=g, mode="clip")
-            kxs += np.multiply(g, w[a].take(a, axis=1, out=h, mode="clip").T, out=g)
+            w.take(a, axis=1, out=wa, mode="clip")
+            w.T.take(b, axis=1, out=wb, mode="clip")
+            kxy += np.multiply(wa.take(b, axis=0, out=g, mode="clip"),
+                               wb.take(a, axis=0, out=h, mode="clip"), out=g)
+            kxs += np.multiply(wa.take(a, axis=0, out=g, mode="clip"),
+                               wb.take(b, axis=0, out=h, mode="clip"), out=g)
+        np.conjugate(kxs, out=kxs)
         p = kxs + kxy
         if not np.iscomplexobj(self.offset):
             return self.weights * p.real
@@ -334,30 +340,25 @@ def _solution(value, sigma_min, cut_mins, dual_value, partitions, iterations,
 def _certify(rho, sigma, partitions, raw_multipliers, iterations) -> SdpSolution:
     """The dense path's spectra and dual bound, by fresh eigensolves.
 
-    raw_multipliers: complex Hermitian Y_T per partition (any roundoff);
-    they are clipped to the PSD cone and rescaled so sum Y_T^Gamma <= I holds
-    exactly, which turns them into a rigorous dual bound.
+    raw_multipliers: (partitions, d, d) stack of complex Hermitian Y_T (any
+    roundoff), clipped to the PSD cone and rescaled so sum Y_T^Gamma <= I
+    holds exactly: a rigorous dual bound.  Each check is one stacked eigh.
     """
     d = rho.shape[0]
-    clipped = []
-    for Y in raw_multipliers:
-        w, V = eig_hermitian(Y)
-        wc = np.clip(w, 0.0, None)
-        clipped.append((V * wc) @ V.conj().T)
-    excess = np.zeros((d, d), dtype=np.complex128)
-    for part, Y in zip(partitions, clipped):
-        excess += partial_transpose(Y, part)
+    w, V = eig_hermitian(raw_multipliers)
+    clipped = (V * np.clip(w, 0.0, None)[:, None, :]) @ V.conj().swapaxes(1, 2)
+    excess = sum(partial_transpose(Y, part) for part, Y in zip(partitions, clipped))
     we, _ = eig_hermitian(np.eye(d) - excess)
     theta = max(0.0, -float(we[0]))
-    scale = 1.0 / (1.0 + theta)
-    certificate = [scale * Y for Y in clipped]
+    certificate = list((1.0 / (1.0 + theta)) * clipped)
     dual_value = -sum(
         trace_inner(Y, partial_transpose(rho, part))
         for part, Y in zip(partitions, certificate)
     )
+    mins = eig_hermitian(np.stack(
+        [sigma] + [partial_transpose(rho + sigma, part) for part in partitions]))[0][:, 0]
     return _solution(
-        float(np.trace(sigma).real), float(eig_hermitian(sigma)[0][0]),
-        [ppt_min_eig(rho + sigma, part) for part in partitions], dual_value,
+        float(np.trace(sigma).real), float(mins[0]), mins[1:].tolist(), dual_value,
         partitions, iterations, "dense", lambda: (sigma, certificate),
     )
 
@@ -384,7 +385,8 @@ def ppt_robustness(rho, partitions=None) -> SdpSolution:
     check_solver_size(n, "dense")
     _check_density(rho)
     partitions = canonical_partitions(n, partitions)
-    pt_eigs = [ppt_min_eig(rho, part) for part in partitions]
+    pt_eigs = eig_hermitian(np.stack(
+        [partial_transpose(rho, part) for part in partitions]))[0][:, 0].tolist()
     if min(pt_eigs) >= -1e-12:
         return _trivial_solution(d, partitions, pt_eigs, "dense")
 

@@ -14,10 +14,11 @@ stack W of scaling matrices is [sum_j Re tr(F_ij W_j F_kj W_j)]_ik.  A vector
 slack lies in the orthant, and its Schur term at the scaling vector W is
 G' diag(W) G.  The solver never sees the F_ij or G, so each block applies
 its constraint in its own structure (``sdp.PptBlock``, ``sdp.CutBlock``).
-The whole stack is scaled with batched LAPACK ``eigh`` and its step lengths
-are read from one batched ``eigvalsh``.  A Cholesky factorization checks
-that the Schur matrix is positive definite; each Newton system is then
-solved by ``np.linalg.solve`` (numpy has no triangular solve).
+The whole stack is scaled from a batched Cholesky factor of the dual and one
+batched ``eigh``; its step lengths come from batched ``eigvalsh``, one for
+both affine steps.  A Cholesky factorization checks that the Schur matrix is
+positive definite, and ``np.linalg.solve`` solves each Newton system (numpy
+has no triangular solve).  A failed factorization raises SdpConvergenceError.
 
 The dual starts at 1 on each orthant entry and at 2 I on each d x d matrix,
 with d barrier terms per matrix: the identity start of the same program
@@ -67,17 +68,33 @@ def _diag(v):
     return v[..., None] * np.eye(v.shape[-1])
 
 
-def _max_step_psd(lam, D):
-    """sup alpha with diag(lam_j) + alpha D_j PSD for every j (lam > 0)."""
+def _nt_scaling(S, Z):
+    """R, lam with R S R* = R^-* Z R^-1 = diag(lam) for PSD stacks S, Z, so
+    R* R inverts the Nesterov-Todd point W (W Z W = S): Z = L L* (raising
+    LinAlgError unless Z > 0), L* S L = U diag(lam^2) U*, R = lam^-1/2 U* L*."""
+    L = np.linalg.cholesky(Z)
+    M = _ct(L) @ S @ L
+    wm, Um = np.linalg.eigh((M + _ct(M)) / 2.0)
+    wm = np.maximum(wm, 1e-300)
+    return _ct(Um * wm[:, None, :] ** -0.25) @ _ct(L), np.sqrt(wm)
+
+
+def _max_steps_psd(lam, ds, dz=None):
+    """sup alpha with diag(lam_j) + alpha ds_j PSD for every j (lam > 0), and
+    the same for dz.  The affine dz (None) is -diag(lam) - ds, whose scaled
+    eigenvalues are -1 minus those of ds, so it takes no eigensolve."""
     li = 1.0 / np.sqrt(lam)
-    t = np.linalg.eigvalsh((li[:, :, None] * D) * li[:, None, :]).min()
-    return np.inf if t >= 0.0 else 1.0 / (-t)
+    e = [np.linalg.eigvalsh((li[:, :, None] * D) * li[:, None, :])
+         for D in (ds, dz) if D is not None]
+    ts = (e[0].min(), -1.0 - e[0].max() if dz is None else e[1].min())
+    return [np.inf if t >= 0.0 else 1.0 / (-t) for t in ts]
 
 
-def _max_step_pos(s, ds):
-    """sup alpha with s + alpha ds >= 0 (s > 0 elementwise)."""
-    steps = np.divide(-s, ds, out=np.full(s.shape, np.inf), where=ds < 0)
-    return float(steps.min())
+def _max_steps_pos(s, ds, dz=None):
+    """sup alpha with s + alpha ds >= 0 (s > 0 elementwise), and the same for
+    dz; the affine dz (None) is -s - ds."""
+    return [float(np.divide(-s, d, out=np.full(s.shape, np.inf), where=d < 0).min())
+            for d in (ds, -s - ds if dz is None else dz)]
 
 
 def solve_conic(
@@ -98,7 +115,7 @@ def solve_conic(
     else:
         Z = np.ones(S.size)
         nu = S.size
-    max_step = _max_step_psd if psd else _max_step_pos
+    max_steps = _max_steps_psd if psd else _max_steps_pos
     best = None
 
     def pairing(S, Z):
@@ -128,15 +145,12 @@ def solve_conic(
         # R (W^-1 = R* R, ds = R dS R*), an orthant w (W = diag(w)^2,
         # ds = dS / w).
         if psd:
-            wz, Uz = np.linalg.eigh(Z)
-            wz = np.maximum(wz, 1e-300)
-            Zh = (Uz * np.sqrt(wz)[:, None, :]) @ _ct(Uz)
-            M = Zh @ S @ Zh
-            wm, Um = np.linalg.eigh((M + _ct(M)) / 2.0)
-            wm = np.maximum(wm, 1e-300)
-            R = _ct(Um * wm[:, None, :] ** -0.25) @ Zh
+            try:
+                R, lam = _nt_scaling(S, Z)
+            except np.linalg.LinAlgError as exc:
+                raise SdpConvergenceError(
+                    f"NT scaling failed at iteration {it}: {exc}", best) from None
             H = block.schur(_ct(R) @ R)
-            lam = np.sqrt(wm)
         else:
             R = np.sqrt(S / Z)
             H = block.schur(1.0 / R ** 2)
@@ -181,14 +195,12 @@ def solve_conic(
             return dx, dS, dz / R, ds, dz
 
         _, dS, dZ, dsa, dza = directions(0.0, None)
-        ap = min(1.0, max_step(lam, dsa))
-        ad = min(1.0, max_step(lam, dza))
+        ap, ad = (min(1.0, a) for a in max_steps(lam, dsa))  # scaled dza = -lam - dsa
         mu_aff = pairing(S + ap * dS, Z + ad * dZ) / nu
         sig = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0))
 
         dx, dS, dZ, ds, dz = directions(sig, (dsa, dza))
-        ap = min(1.0, STEP_FRAC * max_step(lam, ds))
-        ad = min(1.0, STEP_FRAC * max_step(lam, dz))
+        ap, ad = (min(1.0, STEP_FRAC * a) for a in max_steps(lam, ds, dz))
         if ap < 1e-12 and ad < 1e-12:
             raise SdpConvergenceError(f"step collapsed at iteration {it}", best)
         x = x + ap * dx

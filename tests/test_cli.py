@@ -338,6 +338,24 @@ class TestRobustnessCommand:
         assert rep["sdp"] == {"error": err.removeprefix("error: ").strip()}
 
 
+    def test_failed_nt_scaling_exits_3_with_the_best_iterate(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # steps twice as long as the cone allows leave a dual stack that is
+        # not positive definite, so the next NT scaling cannot factor it
+        import stabverify.solver as solver
+
+        monkeypatch.setattr(solver, "STEP_FRAC", 2.0)
+        f = self.write_state(tmp_path, 2, [[1, 2]], [1.0, 0.0, 0.0, 0.0])
+        code, out, err = run_cli(capsys, "robustness", f, "--method", "dense",
+                                 "--format", "json")
+        assert code == 3
+        assert err.startswith("error: NT scaling failed at iteration ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        section = strict_json(out)["sdp"]
+        assert section["error"] == err.removeprefix("error: ").strip()
+        assert np.isfinite(section["best_objective"]) and section["best_gap"] >= 0
+
+
 class TestNonBipartiteGraph:
     def test_triangle_graph_full_analysis(self, tmp_path, capsys):
         # no two-coloring, so generator bounds are unavailable, but raw/ml

@@ -284,6 +284,26 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+        A = A + A.conj().swapaxes(1, 2)
+        w, V = eig_hermitian(A)
+        for a, wa, va in zip(A, w, V):
+            w1, v1 = eig_hermitian(a)
+            assert np.array_equal(wa, w1) and np.array_equal(va, v1)
+
+    def test_stack_checks_each_matrix_on_its_own_scale(self):
+        # a deviation of 1e-6 passes next to entries of 1e6 but not in a
+        # matrix of unit entries, even when the stack holds both
+        big, small = 1e6 * np.eye(2), np.eye(2)
+        small[0, 1] = 1e-6
+        eig_hermitian(np.stack((big + small - np.eye(2),)))
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_hermitian(np.stack((big, small)))
+        with pytest.raises(ValueError, match="square matrix or a stack"):
+            eig_hermitian(np.zeros((2, 2, 3)))
+
 
 class TestScalarFunctionals:
     def test_pure_state(self, paper4):

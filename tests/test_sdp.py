@@ -17,7 +17,7 @@ from stabverify import (
 )
 from stabverify.sdp import PptBlock, canonical_partitions
 from stabverify.simulate import NoiseModel, apply_noise
-from stabverify.solver import solve_conic
+from stabverify.solver import _ct, _diag, _nt_scaling, solve_conic
 
 
 class SdpBlock:
@@ -41,6 +41,24 @@ class SdpBlock:
     def schur(self, W):
         G = W[None] @ self.F @ W[None]
         return np.tensordot(self.F, G.swapaxes(-1, -2), axes=([1, 2, 3], [1, 2, 3])).real
+
+
+def three_gather_schur(block, W):
+    """Reference ``PptBlock.schur``: the assembly from three element gathers
+    of each scaling matrix per part, K[x, y] = G * G' with G = W_T[b, a] and
+    K[x, swap y] = W_T[b, b] * W_T'[a, a], kept to check the Khatri-Rao form."""
+    u = len(block.base)
+    kxy, kxs = np.zeros((u, u), W.dtype), np.zeros((u, u), W.dtype)
+    for w, a, b in zip(W, block.rows, block.cols):
+        g = w[b][:, a]
+        kxy += g * g.T
+        kxs += w[b][:, b] * w[a][:, a].T
+    p = kxs + kxy
+    if not np.iscomplexobj(block.offset):
+        return block.weights * p.real
+    q = kxs - kxy
+    r = np.block([[p.real, q.imag], [-p.imag, q.real]])
+    return block.weights * r[np.ix_(block.index, block.index)]
 
 
 def hermitian_basis(d):
@@ -144,6 +162,23 @@ class TestSolverCore:
         assert ei.value.result is not None
         assert ei.value.result.gap >= 0
 
+    @pytest.mark.parametrize("basis", [symmetric_basis, hermitian_basis])
+    def test_dual_not_positive_definite_at_scaling_raises_with_best(self, monkeypatch, basis):
+        # steps twice as long as the cone allows leave a dual stack that is
+        # not positive definite: its Cholesky factorization at the next NT
+        # scaling stops the solve with the best iterate, not a LinAlgError
+        import stabverify.solver as solver
+
+        monkeypatch.setattr(solver, "STEP_FRAC", 2.0)
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        A = (A + A.conj().T) / 2 if basis is hermitian_basis else (A.real + A.real.T) / 2
+        message = r"^NT scaling failed at iteration \d+: "
+        with pytest.raises(SdpConvergenceError, match=message) as ei:
+            self.positive_part(A, basis(4))
+        assert ei.value.result is not None
+        assert np.isfinite(ei.value.result.objective) and ei.value.result.gap >= 0
+
     def test_iterate_after_the_last_step_is_tested(self):
         # max_iter steps reach iterate max_iter, which is tested like the rest
         c = np.ones(1)
@@ -157,6 +192,57 @@ class TestSolverCore:
 
 def unit_bounded(shape):
     return arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_nt_scaling_diagonalizes_both_sides(data):
+    # R S R* = R^-* Z R^-1 = diag(lam) on random positive definite stacks,
+    # and W = (R* R)^-1 is the Nesterov-Todd point: W Z W = S
+    k, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    real = data.draw(st.booleans())
+
+    def positive_definite():
+        a = data.draw(unit_bounded((k, d, d)))
+        if not real:
+            a = a + 1j * data.draw(unit_bounded((k, d, d)))
+        return a @ _ct(a) + 0.1 * np.eye(d)
+
+    S, Z = positive_definite(), positive_definite()
+    R, lam = _nt_scaling(S, Z)
+    assert R.dtype == S.dtype and lam.shape == (k, d)
+    Ri = np.linalg.inv(R)
+    W = np.linalg.inv(_ct(R) @ R)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    assert close(R @ S @ _ct(R), _diag(lam))
+    assert close(_ct(Ri) @ Z @ Ri, _diag(lam))
+    assert close(W @ Z @ W, S)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_schur_matches_three_gather_assembly(n, real):
+    # the Khatri-Rao assembly keeps the products and the order of the sums
+    # over parts: equal for a real symmetric stack, and equal up to the
+    # conjugate of a sum for a complex Hermitian one
+    rng = np.random.default_rng(n)
+    d, parts = 1 << n, all_bipartitions(n)
+    shape = (1 + len(parts), d, d)
+    a, h = rng.standard_normal(shape), rng.standard_normal((d, d))
+    rho = h + h.T + 0j
+    if not real:
+        a = a + 1j * rng.standard_normal(shape)
+        rho = rho + 1j * (h - h.T)
+    block = PptBlock(rho, parts)
+    W = a + _ct(a)
+    got, want = block.schur(W), three_gather_schur(block, W)
+    if real:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @settings(max_examples=40, deadline=None)
