@@ -24,23 +24,15 @@ from .operators import (
     graph_diagonal_operator,
     graph_state_vector,
     partial_transpose,
-    pauli_to_matrix,
     purity,
     trace_inner,
-    von_neumann_entropy,
 )
 from .pauli import (
     Graph,
     LocalFrame,
     NotTwoColorableError,
-    PauliString,
     StabilizerCodec,
     TwoColoring,
-    apply_frame,
-    generators,
-    multiply,
-    stabilizer_group,
-    transformed_generators,
     two_coloring,
 )
 from .presets import FRAME_PAPER4, FRAME_PAPER6, GRAPH_PAPER4, GRAPH_PAPER6

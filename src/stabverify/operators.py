@@ -1,5 +1,6 @@
-"""Dense operator algebra: Pauli matrices, state vectors, partial transpose,
-Hermitian eigendecomposition, purity/fidelity/entropy.
+"""Dense operator algebra: graph-state vectors, graph-diagonal operators,
+partial transpose, Hermitian eigendecomposition, purity, fidelity and
+Shannon entropy.
 
 Matrices and state vectors are plain complex numpy arrays.  Basis index bit
 q-1 corresponds to qubit q, so tensor factors are assembled with qubit n as
@@ -10,12 +11,10 @@ Walsh transform; no stabilizer group or Pauli matrix is formed for them.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from . import kernels
-from .pauli import Graph, LocalFrame, PauliString
+from .pauli import Graph, LocalFrame
 
 MAX_QUBITS_DENSE = 12
 
@@ -51,16 +50,6 @@ def _dense_dim(n: int) -> int:
     if n > MAX_QUBITS_DENSE:
         raise ValueError(f"dense representation capped at {MAX_QUBITS_DENSE} qubits")
     return 1 << n
-
-
-def pauli_to_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of a signed Pauli string (qubit 1 = least significant bit)."""
-    _dense_dim(p.n)
-    mats = [
-        PAULI_1Q[((p.x >> (q - 1)) & 1, (p.z >> (q - 1)) & 1)]
-        for q in range(p.n, 0, -1)
-    ]
-    return p.sign * reduce(np.kron, mats)
 
 
 def _frame_unitary_1q(image_x, image_z) -> np.ndarray:
@@ -136,10 +125,6 @@ def eig_hermitian(op: np.ndarray):
     return np.linalg.eigh(check_hermitian(op, tol=1e-10))
 
 
-def eigvals_hermitian(op: np.ndarray) -> np.ndarray:
-    return eig_hermitian(op)[0]
-
-
 def purity(op: np.ndarray) -> float:
     """tr(op^2) for Hermitian op, computed entrywise."""
     op = np.asarray(op)
@@ -155,14 +140,6 @@ def fidelity_pure(op: np.ndarray, vec: np.ndarray) -> float:
 def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
     """tr(a b) for Hermitian a, b (real symmetric inner product)."""
     return float(np.vdot(np.asarray(a), np.asarray(b)).real)
-
-
-def von_neumann_entropy(op: np.ndarray, tol: float = 1e-9) -> float:
-    """Base-2 entropy of a density operator; 0 log 0 = 0."""
-    w = eigvals_hermitian(op)
-    if w[0] < -tol:
-        raise ValueError(f"negative eigenvalue {w[0]:.3e} in entropy input")
-    return shannon_entropy(np.clip(w, 0.0, None))
 
 
 def shannon_entropy(p: np.ndarray) -> float:
@@ -190,10 +167,3 @@ def graph_diagonal_operator(
     half = _framed_graph_rows(m[idx[:, None] ^ idx].astype(np.complex128), graph, frame)
     return _framed_graph_rows(half.conj().T, graph, frame)
 
-
-def stabilizer_expectations(vec: np.ndarray, group: list[PauliString]) -> np.ndarray:
-    """<v|S_k|v> for every group element (dense matrices; small n only)."""
-    out = np.empty(len(group))
-    for k, s in enumerate(group):
-        out[k] = fidelity_pure(pauli_to_matrix(s), vec)
-    return out

@@ -1,13 +1,18 @@
-"""Signed Pauli strings, graph-state generators, stabilizer groups, local frames.
+"""Graphs, local frames, and the stabilizer elements of a graph state in the
+binary symplectic form: X and Z bit masks over GF(2) plus a sign (Dehaene and
+De Moor, PRA 68, 042318; Aaronson and Gottesman, PRA 70, 052328).
 
 Conventions used throughout the package:
   * qubits are numbered 1..n; bit q-1 of any mask or index refers to qubit q
     (little endian);
-  * a PauliString stores X/Z bit masks plus an overall sign; the qubit factor
-    for mask bits (x, z) is I, X, Z, Y for (0,0), (1,0), (0,1), (1,1);
+  * the qubit factor for mask bits (x, z) is I, X, Z, Y for (0,0), (1,0),
+    (0,1), (1,1);
   * stabilizer group elements are indexed by k in [0, 2^n): bit a-1 of k says
     whether generator a enters the product, so k = k1 + 2*k2 + 4*k3 + ...;
   * text serialization puts qubit 1 leftmost, e.g. "-ZZII".
+
+``StabilizerCodec`` is the one place that computes an element's bits and
+sign from (graph, frame); nothing here builds the 2^n group.
 """
 
 from __future__ import annotations
@@ -23,110 +28,6 @@ class NotTwoColorableError(ValueError):
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Signed n-qubit Pauli operator in bit-mask form."""
-
-    n: int
-    x: int
-    z: int
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
-            raise ValueError("mask has bits outside the qubit range")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0, 1)
-
-    @classmethod
-    def from_string(cls, text: str) -> "PauliString":
-        s = text.strip()
-        sign = 1
-        if s.startswith("-"):
-            sign = -1
-            s = s[1:]
-        elif s.startswith("+"):
-            s = s[1:]
-        if not s:
-            raise ValueError(f"empty Pauli string: {text!r}")
-        x = z = 0
-        for q, ch in enumerate(s, start=1):
-            try:
-                bx, bz = _CHAR_TO_BITS[ch.upper()]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {ch!r} in {text!r}") from None
-            x |= bx << (q - 1)
-            z |= bz << (q - 1)
-        return cls(len(s), x, z, sign)
-
-    def to_string(self) -> str:
-        chars = [
-            _BITS_TO_CHAR[((self.x >> (q - 1)) & 1, (self.z >> (q - 1)) & 1)]
-            for q in range(1, self.n + 1)
-        ]
-        return ("-" if self.sign < 0 else "") + "".join(chars)
-
-    def __str__(self):
-        return self.to_string()
-
-    @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
-    @property
-    def y_count(self) -> int:
-        return (self.x & self.z).bit_count()
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        _check_same_n(self, other)
-        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
-
-
-def _check_same_n(p: PauliString, q: PauliString):
-    if p.n != q.n:
-        raise ValueError(f"qubit counts differ: {p.n} vs {q.n}")
-
-
-def _bare_product(p: PauliString, q: PauliString):
-    """Masks of p*q with the accumulated power of i (mod 4).
-
-    Each factor is taken in the convention P = i^{x.z} X^x Z^z per qubit,
-    which makes the (1,1) factor equal to Y.
-    """
-    x3 = p.x ^ q.x
-    z3 = p.z ^ q.z
-    phase = (
-        (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (p.z & q.x).bit_count()
-    ) % 4
-    return x3, z3, phase
-
-
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Signed product of two commuting Pauli strings.
-
-    Anticommuting inputs would produce a factor +/-i, which never occurs
-    among stabilizer elements of a graph state, so they are rejected.
-    """
-    _check_same_n(p, q)
-    x3, z3, phase = _bare_product(p, q)
-    if phase % 2:
-        raise ValueError(
-            f"anticommuting product {p} * {q} carries an imaginary phase"
-        )
-    sign = p.sign * q.sign * (1 if phase == 0 else -1)
-    return PauliString(p.n, x3, z3, sign)
 
 
 @dataclass(frozen=True)
@@ -261,74 +162,6 @@ class LocalFrame:
         return self == LocalFrame.identity(self.n)
 
 
-def apply_frame(frame: LocalFrame, p: PauliString) -> PauliString:
-    """Image of p under the frame substitution, with the exact sign."""
-    if frame.n != p.n:
-        raise ValueError(f"qubit counts differ: {frame.n} vs {p.n}")
-    n = p.n
-    # split p into an X-part and a Z-part, mapping each qubit factor through
-    # the frame; the i^{y_count} prefactor accounts for Y = i X Z per qubit
-    xs_x = xs_z = zs_x = zs_z = 0
-    sign = p.sign
-    for q in range(1, n + 1):
-        bit = 1 << (q - 1)
-        ix, iz = frame.images[q - 1]
-        if p.x & bit:
-            xs_x |= ix[0] << (q - 1)
-            xs_z |= ix[1] << (q - 1)
-            sign *= ix[2]
-        if p.z & bit:
-            zs_x |= iz[0] << (q - 1)
-            zs_z |= iz[1] << (q - 1)
-            sign *= iz[2]
-    xpart = PauliString(n, xs_x, xs_z, 1)
-    zpart = PauliString(n, zs_x, zs_z, 1)
-    x3, z3, phase = _bare_product(xpart, zpart)
-    phase = (phase + p.y_count) % 4
-    if phase % 2:
-        raise ValueError("frame image carries an imaginary phase (invalid frame)")
-    sign *= 1 if phase == 0 else -1
-    return PauliString(n, x3, z3, sign)
-
-
-def generators(graph: Graph) -> list[PauliString]:
-    """Graph-state generators: X on vertex a, Z on each neighbor, sign +1."""
-    out = []
-    for a in range(1, graph.n + 1):
-        z = 0
-        for b in graph.neighbors(a):
-            z |= 1 << (b - 1)
-        out.append(PauliString(graph.n, 1 << (a - 1), z, 1))
-    return out
-
-
-def stabilizer_group(gens: list[PauliString]) -> list[PauliString]:
-    """All 2^n products of the generators, indexed by the generator bit mask.
-
-    Element k equals the product of generator a over set bits a-1 of k;
-    index 0 is the identity.
-    """
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].n
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            if not g.commutes_with(h):
-                raise ValueError("generators must commute pairwise")
-    group = [PauliString.identity(n)] * (1 << len(gens))
-    for k in range(1, 1 << len(gens)):
-        low = k & (-k)
-        group[k] = multiply(gens[low.bit_length() - 1], group[k ^ low])
-    seen = {(g.x, g.z) for g in group}
-    if len(seen) != len(group):
-        raise ValueError("generators are dependent (duplicate group elements)")
-    return group
-
-
-def transformed_generators(graph: Graph, frame: LocalFrame) -> list[PauliString]:
-    return [apply_frame(frame, g) for g in generators(graph)]
-
-
 # letter code x | z << 1 of each byte: I, X, Z, Y -> 0, 1, 2, 3; anything else 4
 _LETTER_CODE = np.full(256, 4, dtype=np.uint8)
 for _c, (_bx, _bz) in _CHAR_TO_BITS.items():
@@ -388,7 +221,8 @@ class StabilizerCodec:
     sign of that qubit's X, Y or Z image, so it moves no information between
     qubits.  Rows are decoded and encoded together as (n, rows) bit arrays,
     with no loop over rows: time and memory are O(rows * n) plus one pass
-    over the edges, and the 2^n group is never built.
+    over the edges, and the 2^n group is never built.  ``y_masks`` takes the
+    same steps over all 2^n indices at once, for the reduced PPT path.
     """
 
     def __init__(self, graph: Graph, frame: LocalFrame):
@@ -407,7 +241,10 @@ class StabilizerCodec:
         self._forward = (ax, az, bx, bz)
         self._inverse = (bz, az, bx, ax)
         # Y = i X Z maps to i sx sz P_X P_Z = i^{1 + phase} sx sz P_Y, with
-        # P_X P_Z = i^phase P_Y by the rule of _bare_product
+        # P_X P_Z = i^phase P_Y: taking each factor with bits (x, z) as
+        # i^{xz} X^x Z^z, the product of (x1, z1) and (x2, z2) is i^phase
+        # times (x3, z3) = (x1 ^ x2, z1 ^ z2), phase = x1 z1 + x2 z2 - x3 z3
+        # + 2 z1 x2 mod 4
         phase = ((xi[0] & xi[1]) + (zi[0] & zi[1]) - ((xi[0] ^ zi[0]) & (xi[1] ^ zi[1]))
                  + 2 * (xi[1] & zi[0])) % 4
         sy = xi[2] * zi[2] * np.where(phase == 1, -1, 1)
@@ -426,6 +263,13 @@ class StabilizerCodec:
         t = x & ((c + 1) >> 1)  # ceil(c_a / 2) mod 2 on the vertices in k
         t ^= (neg_x & x & ~z) ^ (neg_y & x & z) ^ (neg_z & ~x & z)
         return np.bitwise_xor.reduce(t & 1, axis=0)
+
+    def y_masks(self) -> np.ndarray:
+        """Y-factor mask x' & z' of every group element, in index order, as int64."""
+        x = index_bits(np.arange(1 << self.n), self.n)
+        z = self._neighbor_counts(x) & 1
+        xp, zp = _map_bits(self._forward, x, z)
+        return index_column(xp & zp)
 
     def indices(self, texts) -> tuple[np.ndarray, np.ndarray]:
         """(k, member) of Pauli texts ("-YZX", "+XZI", "XZI").  k[i] is the

@@ -62,7 +62,7 @@ from .operators import (
     partial_transpose,
     trace_inner,
 )
-from .pauli import Graph, LocalFrame, transformed_generators
+from .pauli import Graph, LocalFrame, StabilizerCodec
 from .reconstruct import GraphDiagonalState, state_p
 from .solver import SdpConvergenceError, solve_conic
 
@@ -417,15 +417,10 @@ def _parity_signs(tmask, masks) -> np.ndarray:
 
 def _cut_masks(graph: Graph, frame: LocalFrame, partitions):
     """Y-factor mask of each stabilizer element (in group-index order) and
-    qubit mask of each partition, as int64 arrays.  Element k's X and Z masks
-    are the XORs of those of the generators over the set bits of k."""
-    xs = zs = np.zeros(1, dtype=np.int64)
-    for g in transformed_generators(graph, frame):
-        xs = np.concatenate((xs, xs ^ g.x))
-        zs = np.concatenate((zs, zs ^ g.z))
+    qubit mask of each partition, as int64 arrays."""
     tmask = np.array([sum(1 << (q - 1) for q in part) for part in partitions],
                      dtype=np.int64)
-    return xs & zs, tmask
+    return StabilizerCodec(graph, frame).y_masks(), tmask
 
 
 def _cut_products(signs, v) -> np.ndarray:

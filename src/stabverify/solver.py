@@ -18,7 +18,8 @@ The whole stack is scaled from a batched Cholesky factor of the dual and one
 batched ``eigh``; its step lengths come from batched ``eigvalsh``, one for
 both affine steps.  A Cholesky factorization checks that the Schur matrix is
 positive definite, and ``np.linalg.solve`` solves each Newton system (numpy
-has no triangular solve).  A failed factorization raises SdpConvergenceError.
+has no triangular solve).  A failed factorization or step-length eigensolve
+raises SdpConvergenceError with the best iterate.
 
 The dual starts at 1 on each orthant entry and at 2 I on each d x d matrix,
 with d barrier terms per matrix: the identity start of the same program
@@ -194,13 +195,22 @@ def solve_conic(
             dz = K - ds
             return dx, dS, dz / R, ds, dz
 
+        def steps(frac, *d):
+            """Primal and dual step lengths, frac of the way to the cone
+            boundary and at most 1."""
+            try:
+                return [min(1.0, frac * a) for a in max_steps(lam, *d)]
+            except np.linalg.LinAlgError as exc:
+                raise SdpConvergenceError(
+                    f"step length failed at iteration {it}: {exc}", best) from None
+
         _, dS, dZ, dsa, dza = directions(0.0, None)
-        ap, ad = (min(1.0, a) for a in max_steps(lam, dsa))  # scaled dza = -lam - dsa
+        ap, ad = steps(1.0, dsa)  # scaled dza = -lam - dsa
         mu_aff = pairing(S + ap * dS, Z + ad * dZ) / nu
         sig = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0))
 
         dx, dS, dZ, ds, dz = directions(sig, (dsa, dza))
-        ap, ad = (min(1.0, STEP_FRAC * a) for a in max_steps(lam, ds, dz))
+        ap, ad = steps(STEP_FRAC, ds, dz)
         if ap < 1e-12 and ad < 1e-12:
             raise SdpConvergenceError(f"step collapsed at iteration {it}", best)
         x = x + ap * dx

@@ -12,7 +12,7 @@ and last the identity entry.
 
 import sys
 
-from stabverify.pauli import stabilizer_group, transformed_generators
+from oracles import stabilizer_group, transformed_generators
 from stabverify.reconstruct import RecordFormatError, _read_header
 
 _NUMBER = (int, float)

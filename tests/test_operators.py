@@ -6,25 +6,24 @@ from hypothesis.extra.numpy import arrays
 from stabverify import (
     Graph,
     LocalFrame,
-    PauliString,
     eig_hermitian,
     fidelity_pure,
-    generators,
     graph_diagonal_operator,
     graph_state_vector,
     partial_transpose,
-    pauli_to_matrix,
     purity,
-    stabilizer_group,
     trace_inner,
-    transformed_generators,
-    von_neumann_entropy,
 )
 from stabverify.kernels import fwht
-from stabverify.operators import (
-    check_hermitian,
-    shannon_entropy,
+from stabverify.operators import check_hermitian, shannon_entropy
+from oracles import (
+    PauliString,
+    generators,
+    pauli_to_matrix,
     stabilizer_expectations,
+    stabilizer_group,
+    transformed_generators,
+    von_neumann_entropy,
 )
 from stabverify.presets import FRAME_PAPER4, FRAME_PAPER6, GRAPH_PAPER4, GRAPH_PAPER6
 

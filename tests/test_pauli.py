@@ -1,22 +1,21 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabverify import (
-    Graph,
-    LocalFrame,
-    NotTwoColorableError,
+from stabverify import Graph, LocalFrame, NotTwoColorableError, StabilizerCodec, two_coloring
+from conftest import graphs_and_frames
+from oracles import (
     PauliString,
-    StabilizerCodec,
     apply_frame,
     generators,
     multiply,
+    pauli_to_matrix,
     stabilizer_group,
     transformed_generators,
-    two_coloring,
 )
-from conftest import graphs_and_frames
-from stabverify.operators import pauli_to_matrix
 
 
 def mat(s):
@@ -296,6 +295,20 @@ class TestStabilizerCodec:
     def test_sizes_must_agree(self):
         with pytest.raises(ValueError, match="qubit counts differ"):
             StabilizerCodec(Graph.path(3), LocalFrame.identity(4))
+
+
+def test_no_module_holds_a_per_pauli_object():
+    # stabilizer elements are bit arrays in the package; the object layer
+    # lives in the tests' oracles only
+    import stabverify
+
+    modules = [stabverify] + [importlib.import_module(f"stabverify.{info.name}")
+                              for info in pkgutil.iter_modules(stabverify.__path__)]
+    assert len(modules) > 1
+    for module in modules:
+        for name in ("PauliString", "stabilizer_group", "pauli_to_matrix", "multiply",
+                     "apply_frame"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestTwoColoring:

@@ -18,6 +18,8 @@ from stabverify import (
 from stabverify.sdp import PptBlock, canonical_partitions
 from stabverify.simulate import NoiseModel, apply_noise
 from stabverify.solver import _ct, _diag, _nt_scaling, solve_conic
+from conftest import graphs_and_frames
+from oracles import PauliString, pauli_to_matrix
 
 
 class SdpBlock:
@@ -178,6 +180,21 @@ class TestSolverCore:
             self.positive_part(A, basis(4))
         assert ei.value.result is not None
         assert np.isfinite(ei.value.result.objective) and ei.value.result.gap >= 0
+
+    @pytest.mark.parametrize("seed", [17, 34])
+    def test_failed_step_length_eigensolve_raises_with_best(self, monkeypatch, seed):
+        # on these programs an overshooting step leaves a scaling so badly
+        # conditioned that the step-length eigensolve itself does not
+        # converge: the solve stops with the best iterate, not a LinAlgError
+        import stabverify.solver as solver
+
+        monkeypatch.setattr(solver, "STEP_FRAC", 2.0)
+        A = np.random.default_rng(seed).standard_normal((4, 4))
+        message = r"^step length failed at iteration \d+: "
+        with np.errstate(over="ignore", invalid="ignore"):  # the scaling overflows
+            with pytest.raises(SdpConvergenceError, match=message) as ei:
+                self.positive_part((A + A.T) / 2, symmetric_basis(4))
+        assert ei.value.result is not None
 
     def test_iterate_after_the_last_step_is_tested(self):
         # max_iter steps reach iterate max_iter, which is tested like the rest
@@ -353,7 +370,7 @@ class TestBellOracle:
 
         rho = bell_density()
         # sigma = sum_i x_i P_i / 4 and its partial transpose, stacked once
-        paulis = [sv.pauli_to_matrix(sv.PauliString.from_string(a + b))
+        paulis = [pauli_to_matrix(PauliString.from_string(a + b))
                   for a in "IXYZ" for b in "IXYZ"]
         basis = np.stack([(P, partial_transpose(P, [1])) for P in paulis]) / 4.0
         offset = np.stack((np.zeros((4, 4)), partial_transpose(rho, [1])))
@@ -588,6 +605,28 @@ class TestReducedPath:
             vd = ppt_robustness(rho, all_bipartitions(4)).value
             vr = symmetry_reduced_robustness(p, graph, frame).value
             assert abs(vd - vr) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=graphs_and_frames(max_n=3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_on_random_graphs_and_frames(self, case, seed):
+        graph, frame = case
+        p = np.random.default_rng(seed).dirichlet(np.ones(1 << graph.n))
+        rho = graph_diagonal_operator(p, graph, frame)
+        if graph.n == 1:  # one qubit has no bipartition, and both paths say so
+            with pytest.raises(ValueError, match="need at least one partition"):
+                ppt_robustness(rho)
+            with pytest.raises(ValueError, match="need at least one partition"):
+                symmetry_reduced_robustness(p, graph, frame)
+            return
+        sol = symmetry_reduced_robustness(p, graph, frame)
+        assert abs(ppt_robustness(rho, all_bipartitions(graph.n)).value - sol.value) < 1e-6
+        # the dual certificate holds as dense operators in the framed graph
+        # basis; the value alone is the same in every frame
+        pairs = list(zip(sol.partitions, sol.dual_certificate))
+        total = sum(partial_transpose(Y, part) for part, Y in pairs)
+        dual = -sum(np.trace(Y @ partial_transpose(rho, part)).real for part, Y in pairs)
+        assert np.linalg.eigvalsh(np.eye(1 << graph.n) - total)[0] >= -1e-10
+        assert abs(dual - sol.dual_value) < 1e-9
 
     def test_frame_invariance(self, paper4):
         graph, frame = paper4

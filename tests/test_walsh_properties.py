@@ -5,45 +5,20 @@ applying it twice multiplies by 2^n.  For a graph-diagonal operator with weights
 again graph-diagonal with weights M_T v = H (eps_T * H v) / 2^n.  These tests
 check that identity, and the LP block built on it in u = H x, against dense
 operators over random graphs, local frames and weights at n <= 4, and the
-numpy stabilizer Y masks against the group itself at n <= 6.
+codec's Y masks against the explicitly built group at n <= 6.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stabverify import (
-    Graph,
-    LocalFrame,
-    graph_diagonal_operator,
-    partial_transpose,
-    stabilizer_group,
-    transformed_generators,
-)
+from conftest import graphs_and_frames
+from stabverify import graph_diagonal_operator, partial_transpose
 from stabverify.kernels import fwht
 from stabverify.sdp import CutBlock, _cut_masks, all_bipartitions
+from oracles import stabilizer_group, transformed_generators
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
-
-
-@st.composite
-def graphs_and_frames(draw):
-    n = draw(st.integers(2, 4))
-    kind = draw(st.sampled_from(["path", "ring", "star"]))
-    path = [(a, a + 1) for a in range(1, n)]
-    if kind == "path":
-        edges = path
-    elif kind == "ring":
-        edges = path + [(n, 1)] if n >= 3 else path
-    else:
-        center = draw(st.integers(1, n))
-        edges = [(center, a) for a in range(1, n + 1) if a != center]
-    pairs = []
-    for _ in range(n):
-        image_x, image_z = draw(st.permutations("XYZ"))[:2]
-        sign_x, sign_z = draw(st.sampled_from("+-")), draw(st.sampled_from("+-"))
-        pairs.append((sign_x + image_x, sign_z + image_z))
-    return Graph.from_edges(n, edges), LocalFrame.from_tokens(pairs)
 
 
 def weights(n):
@@ -80,7 +55,7 @@ def dense_cut_matrices(graph, frame, partitions):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_cut_spectrum_matches_dense_partial_transpose(data):
-    graph, frame = data.draw(graphs_and_frames())
+    graph, frame = data.draw(graphs_and_frames(max_n=4))
     v = data.draw(weights(graph.n))
     partitions = all_bipartitions(graph.n)
     block = CutBlock(*_cut_masks(graph, frame, partitions), v)
@@ -97,7 +72,7 @@ def test_cut_spectrum_matches_dense_partial_transpose(data):
 def test_cut_block_matches_dense_products(data):
     # the block acts on u = H x; row T = {} has M = I and offset 0, so with
     # A_T = M_T H / 2^n its rows are g0_T + A_T u = M_T p + M_T x and x
-    graph, frame = data.draw(graphs_and_frames())
+    graph, frame = data.draw(graphs_and_frames(max_n=4))
     n, dim = graph.n, 1 << graph.n
     partitions = all_bipartitions(n)
     rows = 1 + len(partitions)
@@ -123,23 +98,10 @@ def test_cut_block_matches_dense_products(data):
     assert np.allclose(block.schur(d), schur, rtol=0, atol=1e-12 * np.abs(d).max())
 
 
-@st.composite
-def random_graphs_and_frames(draw):
-    n = draw(st.integers(1, 6))
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    edges = [e for e in pairs if draw(st.booleans())]
-    images = []
-    for _ in range(n):
-        image_x, image_z = draw(st.permutations("XYZ"))[:2]
-        sign_x, sign_z = draw(st.sampled_from("+-")), draw(st.sampled_from("+-"))
-        images.append((sign_x + image_x, sign_z + image_z))
-    return Graph.from_edges(n, edges), LocalFrame.from_tokens(images)
-
-
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_cut_masks_match_stabilizer_group(data):
-    graph, frame = data.draw(random_graphs_and_frames())
+    graph, frame = data.draw(graphs_and_frames(max_n=6))
     partitions = all_bipartitions(graph.n)
     ymask, tmask = _cut_masks(graph, frame, partitions)
     group = stabilizer_group(transformed_generators(graph, frame))
