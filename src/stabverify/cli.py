@@ -6,8 +6,9 @@
 
 DATA is a measurement-record JSON file; bundled example datasets table1.json
 and table2.json resolve by name if no local file shadows them.  Exit codes:
-0 success, 2 malformed input (including a bad --partitions entry, or a
-simulate graph above MAX_SIMULATE_QUBITS), 3 robustness solve not possible
+0 success, 2 malformed input (including a bad --partitions entry, a
+negative --seed, --trials outside MIN_TRIALS..MAX_TRIALS, or a simulate graph
+above MAX_SIMULATE_QUBITS), 3 robustness solve not possible
 (no full group, or more qubits than the solver path's cap: 5 for dense, 12
 for reduced) or not converged, or rg_min beyond the double range.  At exit 3
 both analyze and robustness still emit a partial report, and stderr holds
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import __version__
-from .bounds import MIN_TRIALS, GeneratorData, bound_report, er_lower_from_state
+from .bounds import MAX_TRIALS, MIN_TRIALS, GeneratorData, bound_report, er_lower_from_state
 from .operators import graph_diagonal_operator
 from .pauli import Graph, LocalFrame, NotTwoColorableError, StabilizerCodec, two_coloring
 from .presets import FRAME_PRESETS, GRAPH_PRESETS
@@ -121,6 +122,14 @@ def _simulable(n: int) -> int:
         raise ValueError(f"simulate is capped at {MAX_SIMULATE_QUBITS} qubits "
                          f"(it forms all 2^n populations); the graph has {n}")
     return n
+
+
+def _check_range(option: str, value: int, low: int, high: int | None = None) -> None:
+    """Refuse, with a ValueError naming the option, a value below low or above high."""
+    if value < low:
+        raise ValueError(f"{option} must be at least {low} (got {value})")
+    if high is not None and value > high:
+        raise ValueError(f"{option} must be at most {high} (got {value})")
 
 
 def _read_option_file(option: str, path: str, parse):
@@ -225,11 +234,10 @@ def _input_digest(record: MeasurementRecord, path: str) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    if args.trials < MIN_TRIALS:
-        print(f"error: --trials must be at least {MIN_TRIALS} (got {args.trials})",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
+        # refused before the record is read and fitted, not by bound_report after
+        _check_range("--trials", args.trials, MIN_TRIALS, MAX_TRIALS)
+        _check_range("--seed", args.seed, 0)
         path = _resolve_data_path(args.data)
         record = load_record(path)
         partitions = _parse_partitions(args.partitions, record.n)
@@ -316,11 +324,11 @@ def _run_sdp(report: Report, state: GraphDiagonalState | None, graph, frame,
 
 def cmd_simulate(args) -> int:
     try:
+        _check_range("--seed", args.seed, 0)
+        _check_range("--shots", args.shots, 1)
         graph = _parse_graph(args.graph, args.frame)
         frame = _parse_frame(args.frame, graph.n)
         model = _parse_noise(args.noise, graph.n)
-        if args.shots < 1:
-            raise ValueError("--shots must be at least 1")
         state = apply_noise(graph, model)
         if args.indices == "generators":
             ks = generator_indices(graph.n)
@@ -379,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.add_argument("--trials", type=int, default=10_000,
                     help=f"Monte-Carlo trials for error bars (default 10000, "
-                         f"at least {MIN_TRIALS})")
-    pa.add_argument("--seed", type=int, default=0)
+                         f"at least {MIN_TRIALS}, at most {MAX_TRIALS})")
+    pa.add_argument("--seed", type=int, default=0,
+                    help="seed of the Monte-Carlo draws, at least 0 (default 0)")
     pa.add_argument("--partitions", action="append",
                     help="'all' or comma-separated qubits; repeatable; "
                          "enables the PPT robustness solve")
@@ -399,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="z=eps or z=e1,...,en (graph-basis flips), w=weight "
                          "(depolarizing); repeatable")
     ps.add_argument("--shots", type=int, default=10_000)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=int, default=0,
+                    help="seed of the shot sampling, at least 0 (default 0)")
     ps.add_argument("--indices", choices=("all", "generators"), default="all")
     ps.add_argument("--out", required=True)
     ps.set_defaults(fn=cmd_simulate)

@@ -14,12 +14,18 @@ stack W of scaling matrices is [sum_j Re tr(F_ij W_j F_kj W_j)]_ik.  A vector
 slack lies in the orthant, and its Schur term at the scaling vector W is
 G' diag(W) G.  The solver never sees the F_ij or G, so each block applies
 its constraint in its own structure (``sdp.PptBlock``, ``sdp.CutBlock``).
-The whole stack is scaled from a batched Cholesky factor of the dual and one
-batched ``eigh``; its step lengths come from batched ``eigvalsh``, one for
-both affine steps.  A Cholesky factorization checks that the Schur matrix is
-positive definite, and ``np.linalg.solve`` solves each Newton system (numpy
-has no triangular solve).  A failed factorization or step-length eigensolve
-raises SdpConvergenceError with the best iterate.
+
+Each iteration forms and checks the Schur matrix once: a Cholesky
+factorization tests that it is positive definite.  Both Newton directions,
+predictor and corrector, come from one routine: dx by ``np.linalg.solve``
+(numpy has no triangular solve), dS = apply(dx), ds = scale(dS), dz = K - ds
+and dZ = back(dz).  The cone enters in two places only: the scaling pair,
+sym(R dS R*) and sym(R* dz R) for a PSD stack (R from a batched Cholesky
+factor of the dual and one batched ``eigh``) or dS / r and dz / r on an
+orthant, and the corrector's complementarity target K.  Step lengths come
+from batched ``eigvalsh``, one for both affine steps.  A failed factorization
+or step-length eigensolve raises SdpConvergenceError with the best iterate.
+Iterates are rebound, never updated in place, so none is copied.
 
 The dual starts at 1 on each orthant entry and at 2 I on each d x d matrix,
 with d barrier terms per matrix: the identity start of the same program
@@ -64,6 +70,11 @@ def _ct(a):
     return a.conj().swapaxes(-1, -2)
 
 
+def _sym(a):
+    """Hermitian part of each matrix of a stack."""
+    return (a + _ct(a)) / 2.0
+
+
 def _diag(v):
     """Stack of diagonal matrices from a (k, d) stack of diagonals."""
     return v[..., None] * np.eye(v.shape[-1])
@@ -98,102 +109,66 @@ def _max_steps_pos(s, ds, dz=None):
             for d in (ds, -s - ds if dz is None else dz)]
 
 
-def solve_conic(
-    c: np.ndarray,
-    block,
-    x0: np.ndarray,
-    max_iter: int = 200,
-) -> IpmResult:
+def solve_conic(c: np.ndarray, block, x0: np.ndarray, max_iter: int = 200) -> IpmResult:
     """Run the predictor-corrector IPM from a strictly feasible primal x0,
     for at most max_iter steps."""
     c = np.asarray(c, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
     S = block.slack(x)
     psd = S.ndim == 3
-    if psd:
-        Z = _diag(np.full(S.shape[:2], 2.0))
-        nu = S.shape[0] * S.shape[1]
-    else:
-        Z = np.ones(S.size)
-        nu = S.size
+    Z = _diag(np.full(S.shape[:2], 2.0)) if psd else np.ones(S.size)
+    nu = S.shape[0] * S.shape[1] if psd else S.size  # barrier parameter
     max_steps = _max_steps_psd if psd else _max_steps_pos
-    best = None
+    rd_tol = GAP_TOL * (1.0 + np.linalg.norm(c, np.inf))
+    best = None  # (gap + dual residual, then the IpmResult fields of the best iterate)
 
-    def pairing(S, Z):
-        return float(np.vdot(S, Z).real)
+    def fail(message):
+        return SdpConvergenceError(message, IpmResult(*best[1:], converged=False))
 
     for it in range(max_iter + 1):
-        gap = pairing(S, Z)
+        gap = float(np.vdot(S, Z).real)
         rd = c - block.adjoint(Z)
         obj = float(c @ x)
         rd_norm = float(np.linalg.norm(rd, np.inf))
-        result = IpmResult(
-            x=x.copy(), dual=Z, gap=gap,
-            dual_residual=rd_norm, objective=obj, iterations=it, converged=False,
-        )
-        if best is None or gap + rd_norm < best.gap + best.dual_residual:
-            best = result
-        if gap <= GAP_TOL * (1.0 + abs(obj)) and rd_norm <= GAP_TOL * (
-            1.0 + np.linalg.norm(c, np.inf)
-        ):
-            result.converged = True
-            return result
+        if best is None or gap + rd_norm < best[0]:
+            best = (gap + rd_norm, x, Z, gap, rd_norm, obj, it)
+        if gap <= GAP_TOL * (1.0 + abs(obj)) and rd_norm <= rd_tol:
+            return IpmResult(x, Z, gap, rd_norm, obj, it, converged=True)
         if it == max_iter:
             break
         mu = gap / nu
 
-        # NT scaling: the scaled point lam is diagonal.  An SDP stack keeps
-        # R (W^-1 = R* R, ds = R dS R*), an orthant w (W = diag(w)^2,
-        # ds = dS / w).
+        # NT scaling pair: ds = scale(dS), dZ = back(dz); S and Z both scale to Lam
         if psd:
             try:
                 R, lam = _nt_scaling(S, Z)
             except np.linalg.LinAlgError as exc:
-                raise SdpConvergenceError(
-                    f"NT scaling failed at iteration {it}: {exc}", best) from None
+                raise fail(f"NT scaling failed at iteration {it}: {exc}") from None
             H = block.schur(_ct(R) @ R)
+            Lam = _diag(lam)
+            scale = lambda D: _sym(R @ D @ _ct(R))
+            back = lambda D: _sym(_ct(R) @ D @ R)
         else:
             R = np.sqrt(S / Z)
             H = block.schur(1.0 / R ** 2)
-            lam = np.sqrt(S * Z)
+            lam = Lam = np.sqrt(S * Z)
+            scale = back = lambda D: D / R
         H += H.T
         H *= 0.5
         H.flat[::c.size + 1] += 1e-14 * np.trace(H) / c.size
         try:
             np.linalg.cholesky(H)  # the positive-definiteness check
         except np.linalg.LinAlgError:
-            raise SdpConvergenceError(
-                f"Schur system not positive definite at iteration {it}", best
-            ) from None
+            raise fail(f"Schur system not positive definite at iteration {it}") from None
 
-        def directions(sig, corr):
-            """Newton direction (dx, dS, dZ, ds, dz); corr is the affine
-            (ds, dz) or None."""
-            if corr is None:
-                K = -_diag(lam) if psd else -lam  # scaled complementarity target
-                rhs = -c  # A*(W^{-1/2}(-lam)W^{-1/2}) - rd = -c
-            else:
-                dsa, dza = corr
-                if psd:
-                    Cm = (dsa @ dza + dza @ dsa) / 2.0
-                    Rm = sig * mu * np.eye(lam.shape[1]) - _diag(lam ** 2) - Cm
-                    K = 2.0 * Rm / (lam[:, :, None] + lam[:, None, :])
-                    T = _ct(R) @ K @ R
-                    rhs = -rd + block.adjoint((T + _ct(T)) / 2.0)
-                else:
-                    K = (sig * mu - lam ** 2 - dsa * dza) / lam
-                    rhs = -rd + block.adjoint(K / R)
+        def directions(K, rhs):
+            """Newton direction (dx, dS, dZ, ds, dz) to the scaled
+            complementarity target K, from the Schur right-hand side rhs."""
             dx = np.linalg.solve(H, rhs)
             dS = block.apply(dx)
-            if psd:
-                ds = R @ dS @ _ct(R)
-                ds = (ds + _ct(ds)) / 2.0
-                dz = K - ds
-                dZ = _ct(R) @ dz @ R
-                return dx, dS, (dZ + _ct(dZ)) / 2.0, ds, dz
-            ds = dS / R
+            ds = scale(dS)
             dz = K - ds
-            return dx, dS, dz / R, ds, dz
+            return dx, dS, back(dz), ds, dz
 
         def steps(frac, *d):
             """Primal and dual step lengths, frac of the way to the cone
@@ -201,22 +176,27 @@ def solve_conic(
             try:
                 return [min(1.0, frac * a) for a in max_steps(lam, *d)]
             except np.linalg.LinAlgError as exc:
-                raise SdpConvergenceError(
-                    f"step length failed at iteration {it}: {exc}", best) from None
+                raise fail(f"step length failed at iteration {it}: {exc}") from None
 
-        _, dS, dZ, dsa, dza = directions(0.0, None)
+        # affine: back(-Lam) = -Z, so -rd + block.adjoint(back(-Lam)) = -c
+        _, dS, dZ, dsa, dza = directions(-Lam, -c)
         ap, ad = steps(1.0, dsa)  # scaled dza = -lam - dsa
-        mu_aff = pairing(S + ap * dS, Z + ad * dZ) / nu
+        mu_aff = float(np.vdot(S + ap * dS, Z + ad * dZ).real) / nu
         sig = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-10, 1.0))
 
-        dx, dS, dZ, ds, dz = directions(sig, (dsa, dza))
+        # corrector target: sig mu I - lam^2 - sym(dsa dza) over (lam_i + lam_j) / 2
+        if psd:
+            Cm = (dsa @ dza + dza @ dsa) / 2.0
+            K = 2.0 * (sig * mu * np.eye(lam.shape[1]) - _diag(lam ** 2) - Cm) / (
+                lam[:, :, None] + lam[:, None, :])
+        else:
+            K = (sig * mu - lam ** 2 - dsa * dza) / lam
+        dx, dS, dZ, ds, dz = directions(K, -rd + block.adjoint(back(K)))
         ap, ad = steps(STEP_FRAC, ds, dz)
         if ap < 1e-12 and ad < 1e-12:
-            raise SdpConvergenceError(f"step collapsed at iteration {it}", best)
-        x = x + ap * dx
-        Z = Z + ad * dZ
+            raise fail(f"step collapsed at iteration {it}")
+        x = x + ap * dx  # x, Z and S are rebound, never updated in place,
+        Z = Z + ad * dZ  # so the kept best iterate needs no copy
         S = block.slack(x)
 
-    raise SdpConvergenceError(
-        f"no convergence after {max_iter} iterations (gap {best.gap:.3e})", best
-    )
+    raise fail(f"no convergence after {max_iter} iterations (gap {best[3]:.3e})")

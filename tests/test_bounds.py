@@ -272,6 +272,14 @@ class TestPropagateErrors:
         with pytest.raises(ValueError):
             propagate_errors(fidelity_min, a, sigma, trials=10)
 
+    def test_trials_ceiling(self, table1):
+        # every trial's bound values are kept: 10^8 trials would need ~9 GB
+        a, sigma = table1
+        with pytest.raises(ValueError, match=f"not {bounds.MAX_TRIALS + 1}$"):
+            propagate_errors(fidelity_min, a, sigma, trials=bounds.MAX_TRIALS + 1)
+        with pytest.raises(ValueError, match=f"not {bounds.MAX_TRIALS + 1}$"):
+            bound_report(GeneratorData(a, sigma), 2, trials=bounds.MAX_TRIALS + 1)
+
 
 class TestMonotonicityAndSymmetry:
     def test_monotone_in_each_magnitude(self):

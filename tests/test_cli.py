@@ -14,6 +14,7 @@ import pytest
 import stabverify
 from conftest import run_cli, run_json, strict_json
 from stabverify import cli
+from stabverify.bounds import MAX_TRIALS
 from stabverify.cli import Report, main
 
 
@@ -658,6 +659,46 @@ def test_cli_import_leaves_scipy_out():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.strip() == "[]"
+
+
+class TestBadOptionValues:
+    # every out-of-range or malformed option value is one error: line and
+    # exit 2; a negative --seed used to end in numpy's traceback (analyze)
+    # or in a message that did not name the option (simulate)
+    CASES = [
+        ("analyze", "--seed", "-1"),
+        ("analyze", "--trials", "0"),
+        ("analyze", "--trials", str(MAX_TRIALS + 1)),
+        ("analyze", "--partitions", "1,x"),
+        ("robustness", "--partitions", "1,x"),
+        ("simulate", "--seed", "-1"),
+        ("simulate", "--noise", "z=abc"),
+        ("simulate", "--graph", "path:x"),
+        ("simulate", "--shots", "0"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def record3(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("rec") / "full3.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--graph", "path:3", "--noise", "z=0.05",
+                         "--shots", "500", "--seed", "1", "--out", str(out)]) == 0
+        return str(out)
+
+    @pytest.mark.parametrize("command, option, value", CASES,
+                             ids=[f"{c}{o}={v}" for c, o, v in CASES])
+    def test_exits_2_with_one_error_line_naming_it(self, record3, tmp_path, capsys,
+                                                   command, option, value):
+        out = tmp_path / "x.json"
+        if command == "simulate":
+            argv = ["simulate", "--graph", "path:3", "--out", str(out), option, value]
+        else:
+            argv = [command, record3, option, value, "--format", "json"]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {option}")
 
 
 class TestLargeGeneratorRecord:

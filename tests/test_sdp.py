@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stabverify as sv
@@ -205,6 +205,74 @@ class TestSolverCore:
         assert res.converged and res.iterations == steps
         with pytest.raises(SdpConvergenceError, match=f"after {steps - 1} iterations"):
             solve_conic(c, block, np.array([2.0]), max_iter=steps - 1)
+
+
+def conic_program(kind):
+    """(c, block, x0) as the dense path (a real or a complex PptBlock) or the
+    reduced path (a CutBlock) hands them to solve_conic, for a noisy 3-qubit
+    path state."""
+    import stabverify.sdp as sdp
+
+    graph = Graph.path(3)
+    p = apply_noise(graph, NoiseModel((0.05, 0.03, 0.07), 0.02)).p
+    rho = graph_diagonal_operator(p, graph)
+    if kind == "complex":  # local phases diag(1, e^{i phi}) on qubits 1 and 3
+        bits = np.arange(8)
+        phases = np.exp(0.7j * ((bits >> 2) & 1) + 1.9j * (bits & 1))
+        rho = phases[:, None] * rho * phases.conj()[None, :]
+    posed = []
+
+    def recording(c, block, x0):
+        posed.append((c, block, x0))
+        return solve_conic(c, block, x0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "solve_conic", recording)
+        if kind == "cut":
+            symmetry_reduced_robustness(p, graph)
+        else:
+            ppt_robustness(rho)
+    return posed[0]
+
+
+class KeepsIterates:
+    """A block that holds on to every array the solver hands it, with a copy,
+    so that a test can tell whether the solver later changed one in place."""
+
+    def __init__(self, block):
+        self.block, self.seen = block, []
+
+    def slack(self, x):
+        self.seen.append((x, x.copy()))
+        return self.block.slack(x)
+
+    def adjoint(self, Z):
+        self.seen.append((Z, Z.copy()))
+        return self.block.adjoint(Z)
+
+    def apply(self, dx):
+        return self.block.apply(dx)
+
+    def schur(self, W):
+        return self.block.schur(W)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "cut"])
+def test_kept_iterates_are_never_overwritten(kind):
+    # the best and the converged iterate are the solver's own x and Z, not
+    # copies: each must still be exactly the point whose objective and gap
+    # were recorded, and no array handed to the block may change afterwards
+    c, block, x0 = conic_program(kind)
+    assert type(block).__name__ == ("CutBlock" if kind == "cut" else "PptBlock")
+    assert np.iscomplexobj(getattr(block, "offset", None)) == (kind == "complex")
+    converged = solve_conic(c, block, x0)
+    keeper = KeepsIterates(block)
+    with pytest.raises(SdpConvergenceError, match="no convergence") as ei:
+        solve_conic(c, keeper, x0, max_iter=converged.iterations - 2)
+    for res in (ei.value.result, converged):
+        assert c @ res.x == res.objective
+        assert np.vdot(block.slack(res.x), res.dual).real == res.gap
+    assert all(np.array_equal(a, kept) for a, kept in keeper.seen)
 
 
 def unit_bounded(shape):
@@ -468,6 +536,39 @@ class TestPptMinEig:
         assert abs(ppt_min_eig(np.eye(8) / 8, [1, 2]) - 1 / 8) < 1e-12
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 3), complex_=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+# about 1 in 200 of these states leaves the raw dual of the solve infeasible
+# by more than 1e-10, so that only the certificate's rescaling restores
+# I - sum_T Y_T^Gamma_T >= 0; these three do so by 0.9e-9 to 3.3e-9
+@example(n=3, complex_=True, seed=173)
+@example(n=3, complex_=False, seed=200)
+@example(n=2, complex_=False, seed=8)
+def test_dense_certificates_hold_on_random_states(n, complex_, seed):
+    # sigma and the rescaled dual certificate of the dense path, checked from
+    # the returned operators alone with numpy's eigensolver: primal
+    # feasibility, dual feasibility and the dual value
+    d = 1 << n
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(1, d + 1))
+    a = rng.standard_normal((d, rank))
+    if complex_:
+        a = a + 1j * rng.standard_normal((d, rank))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    sol = ppt_robustness(rho)
+    assert sol.partitions == all_bipartitions(n)
+    pairs = list(zip(sol.partitions, sol.dual_certificate))
+    assert np.linalg.eigvalsh(sol.sigma)[0] >= -1e-8
+    for part, Y in pairs:
+        assert np.linalg.eigvalsh(partial_transpose(rho + sol.sigma, part))[0] >= -1e-8
+        assert np.linalg.eigvalsh(Y)[0] >= -1e-10
+    total = sum(partial_transpose(Y, part) for part, Y in pairs)
+    assert np.linalg.eigvalsh(np.eye(d) - total)[0] >= -1e-10
+    dual = -sum(np.trace(Y @ partial_transpose(rho, part)).real for part, Y in pairs)
+    assert abs(dual - sol.dual_value) <= 1e-9
+
+
 class TestDensePath:
     def test_separable_diagonal_is_zero(self):
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
@@ -620,8 +721,11 @@ class TestReducedPath:
             return
         sol = symmetry_reduced_robustness(p, graph, frame)
         assert abs(ppt_robustness(rho, all_bipartitions(graph.n)).value - sol.value) < 1e-6
-        # the dual certificate holds as dense operators in the framed graph
-        # basis; the value alone is the same in every frame
+        # sigma and the dual certificate hold as dense operators in the framed
+        # graph basis; the value alone is the same in every frame
+        assert np.linalg.eigvalsh(sol.sigma)[0] >= -1e-8
+        for part in sol.partitions:
+            assert np.linalg.eigvalsh(partial_transpose(rho + sol.sigma, part))[0] >= -1e-8
         pairs = list(zip(sol.partitions, sol.dual_certificate))
         total = sum(partial_transpose(Y, part) for part, Y in pairs)
         dual = -sum(np.trace(Y @ partial_transpose(rho, part)).real for part, Y in pairs)
