@@ -35,8 +35,8 @@ from .operators import shannon_entropy
 from .reconstruct import state_p
 
 MIN_TRIALS = 1000  # fewest Monte-Carlo trials behind an error bar
-# most trials: the sampled bounds keep every trial's values, so the peak RSS
-# of analyze table1.json grows from 37 MB at 10^4 trials to 130 MB at 10^6
+# most trials: the sampled bounds keep four doubles per trial, so the peak RSS
+# of analyze table1.json grows from 37 MB at 10^4 trials to 82 MB at 10^6
 MAX_TRIALS = 1_000_000
 
 
@@ -192,14 +192,21 @@ _BLOCK_SAMPLES = 16_384
 def _sample_chunks(a, sigma, trials: int, seed: int):
     """Unclipped row chunks of the (trials, n) draws a_i' ~ N(a_i, sigma_i).
     The chunks are consecutive draws from one generator, so they stack to the
-    same matrix as a single draw; z * sigma + a are Generator.normal's floats."""
+    same matrix as a single draw; z * sigma + a are Generator.normal's floats.
+    The trial count is checked at the call, before any draw.  A product
+    beyond the largest double is the intended saturation (+/-inf, which the
+    clip maps to +/-1), so it raises no overflow warning."""
     if not MIN_TRIALS <= trials <= MAX_TRIALS:
         raise ValueError(f"use between {MIN_TRIALS} and {MAX_TRIALS} trials, not {trials}")
     rng = np.random.default_rng(seed)
     rows = max(1, _CHUNK_SAMPLES // max(np.size(a), 1))
-    for start in range(0, trials, rows):
-        z = rng.standard_normal((min(rows, trials - start), np.size(a)))
-        yield np.add(np.multiply(z, sigma, out=z), a, out=z)
+
+    def draw(count):
+        z = rng.standard_normal((count, np.size(a)))
+        with np.errstate(over="ignore"):
+            return np.add(np.multiply(z, sigma, out=z), a, out=z)
+
+    return (draw(min(rows, trials - start)) for start in range(0, trials, rows))
 
 
 def propagate_errors(bound_fn, a, sigma, trials: int = 10_000, seed: int = 0):
@@ -207,21 +214,30 @@ def propagate_errors(bound_fn, a, sigma, trials: int = 10_000, seed: int = 0):
 
     bound_fn maps a (rows, n) sample matrix to one value per row.
     """
-    vals = np.concatenate([bound_fn(np.clip(c, -1.0, 1.0, out=c))
-                           for c in _sample_chunks(a, sigma, trials, seed)])
+    chunks = _sample_chunks(a, sigma, trials, seed)
+    vals, start = np.empty(trials), 0
+    for c in chunks:
+        vals[start:start + len(c)] = bound_fn(np.clip(c, -1.0, 1.0, out=c))
+        start += len(c)
     return {"mean": float(vals.mean()), "std": float(vals.std())}
 
 
 def _sampled_bounds(a, sigma, b_size: int, trials: int, seed: int) -> np.ndarray:
-    """Rows F_min, p_min, R_Gmin, E_Rmin per sample, one fused pass per block."""
-    n, parts = np.size(a), []
+    """Rows F_min, p_min, R_Gmin, E_Rmin per sample, one fused pass per block,
+    each written in place into the (4, trials) result."""
+    chunks = _sample_chunks(a, sigma, trials, seed)
+    n, out, done = np.size(a), np.empty((4, trials)), 0
     rows = max(1, _BLOCK_SAMPLES // n)
-    for chunk in _sample_chunks(a, sigma, trials, seed):
+    for chunk in chunks:
         for start in range(0, len(chunk), rows):
             x = chunk[start:start + rows]
-            f = _fidelity(np.abs(np.clip(x, -1.0, 1.0, out=x), out=x).sum(axis=-1), n)
-            parts.append((f, _purity(f, n), _robustness(f, b_size), _rel_entropy(x, b_size)))
-    return np.concatenate(parts, axis=1)
+            o = out[:, done:done + len(x)]
+            o[0] = f = _fidelity(np.abs(np.clip(x, -1.0, 1.0, out=x), out=x).sum(axis=-1), n)
+            o[1] = _purity(f, n)
+            o[2] = _robustness(f, b_size)
+            o[3] = _rel_entropy(x, b_size)
+            done += len(x)
+    return out
 
 
 def _std(x) -> float:

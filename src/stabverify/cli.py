@@ -7,10 +7,11 @@
 DATA is a measurement-record JSON file; bundled example datasets table1.json
 and table2.json resolve by name if no local file shadows them.  Exit codes:
 0 success, 2 malformed input (including a bad --partitions entry, a
-negative --seed, --trials outside MIN_TRIALS..MAX_TRIALS, or a simulate graph
-above MAX_SIMULATE_QUBITS), 3 robustness solve not possible
-(no full group, or more qubits than the solver path's cap: 5 for dense, 12
-for reduced) or not converged, or rg_min beyond the double range.  At exit 3
+negative --seed, --trials outside MIN_TRIALS..MAX_TRIALS, a simulate graph
+above MAX_SIMULATE_QUBITS or --shots outside 1..MAX_SHOTS), 3 robustness
+solve not possible (no full group, or more qubits than the solver path's
+cap: 5 for dense, 12 for reduced) or not converged, or rg_min beyond the
+double range.  At exit 3
 both analyze and robustness still emit a partial report, and stderr holds
 one error: line.
 """
@@ -44,6 +45,7 @@ EXIT_SDP = 3
 # simulate forms all 2^n graph-basis populations of its state (and, with
 # --indices all, 2^n - 1 rows); at this cap it peaks at about 85 MB RSS
 MAX_SIMULATE_QUBITS = 16
+MAX_SHOTS = 2 ** 63 - 1  # the shot draws and the records count shots in int64
 
 
 @dataclass
@@ -325,7 +327,7 @@ def _run_sdp(report: Report, state: GraphDiagonalState | None, graph, frame,
 def cmd_simulate(args) -> int:
     try:
         _check_range("--seed", args.seed, 0)
-        _check_range("--shots", args.shots, 1)
+        _check_range("--shots", args.shots, 1, MAX_SHOTS)
         graph = _parse_graph(args.graph, args.frame)
         frame = _parse_frame(args.frame, graph.n)
         model = _parse_noise(args.noise, graph.n)
@@ -407,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--noise", action="append",
                     help="z=eps or z=e1,...,en (graph-basis flips), w=weight "
                          "(depolarizing); repeatable")
-    ps.add_argument("--shots", type=int, default=10_000)
+    ps.add_argument("--shots", type=int, default=10_000,
+                    help=f"shots per measured index (default 10000, at least 1, "
+                         f"at most {MAX_SHOTS} = 2^63 - 1)")
     ps.add_argument("--seed", type=int, default=0,
                     help="seed of the shot sampling, at least 0 (default 0)")
     ps.add_argument("--indices", choices=("all", "generators"), default="all")

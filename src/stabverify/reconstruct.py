@@ -281,7 +281,9 @@ def raw_fidelity(record: MeasurementRecord) -> tuple[float, float]:
     (from the record's cached ``full_vector``)."""
     m, s = record.full_vector()
     dim = m.size
-    return float(m.sum() / dim), float(np.sqrt((s ** 2).sum()) / dim)
+    e = int(np.frexp(s.max())[1])  # exact scaling: no square overflows or underflows
+    quadrature = np.ldexp(np.sqrt((np.ldexp(s, -e) ** 2).sum()), e)
+    return float(m.sum() / dim), float(quadrature / dim)
 
 
 def raw_purity(m: np.ndarray) -> float:
@@ -295,7 +297,10 @@ def raw_purity(m: np.ndarray) -> float:
 def _fit_data(record: MeasurementRecord) -> tuple:
     """(k, value, weight) arrays of the non-identity entries, in index order.
 
-    The weight is 1/sigma^2.  Where an entry has shots, its sigma is at least
+    The weight is 1/sigma^2, up to one common power of 2 that puts the
+    smallest sigma in [1/2, 1): the scaling is exact, so the normalized
+    weights are unchanged, but the largest weight is finite and nonzero at
+    any finite sigma.  Where an entry has shots, its sigma is at least
     the binomial estimate and 1/shots: a sample mean of exactly +/-1 has zero
     binomial estimate but still an O(1/shots) true uncertainty.
     """
@@ -310,7 +315,8 @@ def _fit_data(record: MeasurementRecord) -> tuple:
     if (sigma <= 0).any():
         raise ValueError(f"entry {k[np.argmax(sigma <= 0)]} needs a positive sigma "
                          "(or shots) for the fit")
-    return k, value, 1.0 / sigma ** 2
+    with np.errstate(over="ignore"):  # a sigma 2^512 times the smallest weighs 0
+        return k, value, 1.0 / np.ldexp(sigma, -int(np.frexp(sigma.min())[1])) ** 2
 
 
 ML_MAX_ITER = 1_000_000  # cap on ml_fit's FISTA iterations
@@ -346,7 +352,7 @@ def ml_fit(record: MeasurementRecord, start: np.ndarray | None = None) -> GraphD
     else:
         p0 = np.asarray(start, dtype=np.float64)
     p, kkt, _ = kernels.pg_fit(rows, values, weights, p0, ML_MAX_ITER, ML_TOL)
-    if kkt > ML_TOL:
+    if not kkt <= ML_TOL:  # also a NaN residual
         raise RuntimeError(f"fit did not reach the target residual ({kkt:.2e})")
     return GraphDiagonalState(p)
 

@@ -19,12 +19,13 @@ Each iteration forms and checks the Schur matrix once: a Cholesky
 factorization tests that it is positive definite.  Both Newton directions,
 predictor and corrector, come from one routine: dx by ``np.linalg.solve``
 (numpy has no triangular solve), dS = apply(dx), ds = scale(dS), dz = K - ds
-and dZ = back(dz).  The cone enters in two places only: the scaling pair,
+and dZ = back(dz).  The cone enters in three places only: the scaling pair,
 sym(R dS R*) and sym(R* dz R) for a PSD stack (R from a batched Cholesky
 factor of the dual and one batched ``eigh``) or dS / r and dz / r on an
-orthant, and the corrector's complementarity target K.  Step lengths come
-from batched ``eigvalsh``, one for both affine steps.  A failed factorization
-or step-length eigensolve raises SdpConvergenceError with the best iterate.
+orthant; the corrector's complementarity target K; and the scaled spectrum
+of the step test, one batched ``eigvalsh`` of both directions on a PSD stack
+or D / lam on an orthant.  A failed factorization or step-length eigensolve
+raises SdpConvergenceError with the best iterate.
 Iterates are rebound, never updated in place, so none is copied.
 
 The dual starts at 1 on each orthant entry and at 2 I on each d x d matrix,
@@ -91,22 +92,19 @@ def _nt_scaling(S, Z):
     return _ct(Um * wm[:, None, :] ** -0.25) @ _ct(L), np.sqrt(wm)
 
 
-def _max_steps_psd(lam, ds, dz=None):
-    """sup alpha with diag(lam_j) + alpha ds_j PSD for every j (lam > 0), and
-    the same for dz.  The affine dz (None) is -diag(lam) - ds, whose scaled
-    eigenvalues are -1 minus those of ds, so it takes no eigensolve."""
-    li = 1.0 / np.sqrt(lam)
-    e = [np.linalg.eigvalsh((li[:, :, None] * D) * li[:, None, :])
-         for D in (ds, dz) if D is not None]
+def _max_steps(lam, ds, dz=None):
+    """sup alpha with diag(lam) + alpha D in the cone (lam > 0), for D = ds
+    and D = dz: 1 / -min(e) over the eigenvalues e of Lam^-1/2 D Lam^-1/2,
+    which on an orthant (1 x 1 blocks) are D / lam.  The affine dz (None) is
+    -diag(lam) - ds, with e = -1 - e(ds), so it takes no eigensolve."""
+    D = ds[None] if dz is None else np.stack((ds, dz))
+    if lam.ndim == 1:
+        e = D / lam
+    else:
+        li = 1.0 / np.sqrt(lam)
+        e = np.linalg.eigvalsh((li[:, :, None] * D) * li[:, None, :])
     ts = (e[0].min(), -1.0 - e[0].max() if dz is None else e[1].min())
     return [np.inf if t >= 0.0 else 1.0 / (-t) for t in ts]
-
-
-def _max_steps_pos(s, ds, dz=None):
-    """sup alpha with s + alpha ds >= 0 (s > 0 elementwise), and the same for
-    dz; the affine dz (None) is -s - ds."""
-    return [float(np.divide(-s, d, out=np.full(s.shape, np.inf), where=d < 0).min())
-            for d in (ds, -s - ds if dz is None else dz)]
 
 
 def solve_conic(c: np.ndarray, block, x0: np.ndarray, max_iter: int = 200) -> IpmResult:
@@ -118,7 +116,6 @@ def solve_conic(c: np.ndarray, block, x0: np.ndarray, max_iter: int = 200) -> Ip
     psd = S.ndim == 3
     Z = _diag(np.full(S.shape[:2], 2.0)) if psd else np.ones(S.size)
     nu = S.shape[0] * S.shape[1] if psd else S.size  # barrier parameter
-    max_steps = _max_steps_psd if psd else _max_steps_pos
     rd_tol = GAP_TOL * (1.0 + np.linalg.norm(c, np.inf))
     best = None  # (gap + dual residual, then the IpmResult fields of the best iterate)
 
@@ -174,7 +171,7 @@ def solve_conic(c: np.ndarray, block, x0: np.ndarray, max_iter: int = 200) -> Ip
             """Primal and dual step lengths, frac of the way to the cone
             boundary and at most 1."""
             try:
-                return [min(1.0, frac * a) for a in max_steps(lam, *d)]
+                return [min(1.0, frac * a) for a in _max_steps(lam, *d)]
             except np.linalg.LinAlgError as exc:
                 raise fail(f"step length failed at iteration {it}: {exc}") from None
 

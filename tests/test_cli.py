@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -675,6 +676,7 @@ class TestBadOptionValues:
         ("simulate", "--noise", "z=abc"),
         ("simulate", "--graph", "path:x"),
         ("simulate", "--shots", "0"),
+        ("simulate", "--shots", str(2 ** 63)),  # beyond int64
     ]
 
     @pytest.fixture(scope="class")
@@ -699,6 +701,71 @@ class TestBadOptionValues:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {option}")
+
+
+class TestExtremeSigmas:
+    # finite sigmas far from 1: the fit weights 1/sigma^2 and the raw-fidelity
+    # quadrature sum used to overflow or underflow, which ran the ML fit to its
+    # iteration cap on NaN weights or wrote Infinity into the JSON report
+    SIGMAS = (1e-300, 1e-200, 1e200, 1e300)
+    MIX = (1e-300, 1e300, 1e-200, 1e200, 1.0, 1e-3, 0.5)
+    CASES = [f"one {s:g}" for s in SIGMAS] + [f"every {s:g}" for s in SIGMAS] + ["mix"]
+
+    @pytest.fixture(scope="class")
+    def record3(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("rec") / "full3.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--graph", "path:3", "--noise", "z=0.05",
+                         "--shots", "1000", "--out", str(out)]) == 0
+        return out.read_text()
+
+    def write(self, record3, case, tmp_path):
+        """The record with one row's, every row's or the MIX sigmas, and no
+        shots on those rows (their binomial floor would hide a tiny sigma)."""
+        doc = json.loads(record3)
+        rows = doc["measurements"]
+        if case == "mix":
+            sigmas = self.MIX
+        elif case.startswith("one"):
+            sigmas, rows = [float(case.split()[1])], rows[:1]
+        else:
+            sigmas = [float(case.split()[1])] * len(rows)
+        for row, sigma in zip(rows, sigmas):
+            row["sigma"] = sigma
+            del row["shots"]
+        f = tmp_path / f"{case.replace(' ', '_')}.json"
+        f.write_text(json.dumps(doc))
+        return str(f)
+
+    def run(self, capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # outside pytest a warning reaches stderr
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        return strict_json(out)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_analyze_and_robustness_exit_0(self, record3, tmp_path, capsys, case):
+        f = self.write(record3, case, tmp_path)
+        rep = self.run(capsys, "analyze", f, "--partitions", "all", "--trials", "1000")
+        assert rep["sdp"]["value"] == self.run(capsys, "robustness", f)["sdp"]["value"]
+
+    def test_equal_sigmas_give_one_value_at_every_scale(self, record3, tmp_path, capsys):
+        # equal sigmas weigh every row equally, whatever their size
+        values = [self.run(capsys, "robustness", self.write(record3, f"every {s:g}", tmp_path))
+                  ["sdp"]["value"]["value"] for s in self.SIGMAS]
+        assert values == pytest.approx([values[0]] * len(values), rel=1e-12)
+
+    def test_generator_sigma_near_the_largest_double(self, tmp_path, capsys):
+        # the Monte-Carlo draws overflow to +/-inf, which the clip maps to
+        # +/-1: the intended saturation, with no overflow warning
+        rows = [{"k": k, "value": 0.9, "sigma": 1e308} for k in ("100", "010", "001")]
+        f = tmp_path / "gen3.json"
+        f.write_text(json.dumps({"graph": {"n": 3, "edges": [[1, 2], [2, 3]]},
+                                 "measurements": rows}))
+        bounds = self.run(capsys, "analyze", str(f), "--trials", "1000")["generator_bounds"]
+        assert bounds["f_min"]["value"] == pytest.approx(0.85, rel=1e-12)
+        assert bounds["f_min"]["sigma"] == 0.0  # every clipped draw is +/-1
 
 
 class TestLargeGeneratorRecord:
@@ -783,17 +850,34 @@ class TestHugeGeneratorRecord:
         # its own peak RSS, VmHWM, which exec resets; ru_maxrss would carry
         # over the launching test process's peak across fork and exec.
         f = self.write_record(tmp_path, 5000)
-        probe = ("import re, sys; from stabverify.cli import main; "
-                 "code = main(sys.argv[1:]); "
-                 "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()); "
-                 "print('vmhwm_kb', hwm.group(1), file=sys.stderr); sys.exit(code)")
-        src = str(Path(stabverify.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", probe, "analyze", str(f), "--format", "json"],
-                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        done, peak_mb = _run_with_peak_rss("analyze", str(f), "--format", "json")
         assert done.returncode == 3
         assert "rg_min" in strict_json(done.stdout)["generator_bounds"]["error"]
-        peak_mb = int(re.search(r"vmhwm_kb (\d+)", done.stderr).group(1)) / 1024
         assert peak_mb < 300
+
+
+def _run_with_peak_rss(*argv):
+    """A CLI run in a fresh interpreter and its peak RSS in MB.  The probe
+    reports its own VmHWM, which exec resets; ru_maxrss would carry over the
+    launching test process's peak across fork and exec."""
+    probe = ("import re, sys; from stabverify.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()); "
+             "print('vmhwm_kb', hwm.group(1), file=sys.stderr); sys.exit(code)")
+    src = str(Path(stabverify.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    return done, int(re.search(r"vmhwm_kb (\d+)", done.stderr).group(1)) / 1024
+
+
+def test_million_trials_in_bounded_memory():
+    # the sampled bounds are written in place into one (4, trials) array; a
+    # list of per-block arrays and their concatenation peaked at about 130 MB
+    done, peak_mb = _run_with_peak_rss("analyze", "table1.json", "--trials", "1000000",
+                                       "--format", "json")
+    assert done.returncode == 0
+    strict_json(done.stdout)
+    assert peak_mb < 90
 
 
 def _generator_text(graph, a):

@@ -2,13 +2,15 @@
 
 Each example starts from a valid 2- or 3-qubit document and applies one to
 three mutations: a dropped key, or a leaf or container replaced by a value
-of another JSON type.  Whatever the result, the exit-code contract holds:
-exit 0 or 3 writes strict JSON to stdout; exit 2 writes nothing there and
-one 'error:' line to stderr; no exception escapes.
+of another JSON type or by an extreme finite number.  Whatever the result,
+the exit-code contract holds: exit 0 or 3 writes strict JSON to stdout, exit
+0 with nothing on stderr; exit 2 writes nothing there and one 'error:' line
+to stderr; no exception escapes.
 """
 
 import copy
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,7 +20,7 @@ from stabverify.pauli import Graph, LocalFrame
 from stabverify.reconstruct import record_to_json_dict
 from stabverify.simulate import NoiseModel, apply_noise, sample_record
 
-REPLACEMENTS = (None, True, 2.5, -1, 0, "x", [], {})
+REPLACEMENTS = (None, True, 2.5, -1, 0, 1e-300, 1e300, "x", [], {})
 COMMANDS = (
     ("analyze", "--partitions", "all", "--trials", "1000"),
     ("robustness",),
@@ -85,13 +87,43 @@ def _at(doc, path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=st.sampled_from(sorted(DOCUMENTS)), data=st.data())
 def test_mutated_documents_keep_the_exit_contract(tmp_path, capsys, command, name, data):
-    doc = _mutated(DOCUMENTS[name], data)
+    _check_exit_contract(tmp_path, capsys, command, _mutated(DOCUMENTS[name], data))
+
+
+def _extreme_sigma(sigma, drop_shots):
+    doc = copy.deepcopy(DOCUMENTS["record3"])
+    row = doc["measurements"][0]
+    row["sigma"] = sigma
+    if drop_shots:
+        del row["shots"]
+    return doc
+
+
+# one row's sigma at an extreme finite value: the first made the ML fit run
+# its whole iteration cap on NaN weights and exit 2 with a wrong diagnostic,
+# the second overflowed the raw-fidelity sigma into a non-JSON Infinity
+EXTREME = {"sigma 1e-300 without shots": _extreme_sigma(1e-300, True),
+           "sigma 1e300": _extreme_sigma(1e300, False)}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(EXTREME))
+def test_extreme_sigmas_keep_the_exit_contract(tmp_path, capsys, command, name):
+    _check_exit_contract(tmp_path, capsys, command, EXTREME[name])
+
+
+def _check_exit_contract(tmp_path, capsys, command, doc):
     f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, *command, str(f), "--format", "json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *command, str(f), "--format", "json")
+    err += "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)  # as on a terminal
     assert code in (0, 2, 3)
     if code == 2:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
     else:
         strict_json(out)
+        if code == 0:
+            assert err == ""

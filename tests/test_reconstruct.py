@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabverify import (
     Graph,
@@ -18,6 +19,7 @@ from stabverify import (
     sample_record,
     walsh_populations,
 )
+from stabverify import kernels
 from stabverify.reconstruct import (
     fit_objective,
     record_from_json_dict,
@@ -142,6 +144,14 @@ class TestRawFidelityPurity:
         f, _ = raw_fidelity(rec)
         assert abs(f - walsh_populations(m).p[0]) < 1e-15
 
+    @pytest.mark.parametrize("power", [-997, 997])
+    def test_sigma_is_finite_and_exact_at_extreme_scales(self, power):
+        # the quadrature sum is taken on sigmas scaled by a power of 2: it
+        # used to overflow to inf near 1e300 and underflow to 0 near 1e-300
+        sig = np.ldexp([0.0, 1.0, 2.0, 2.0], power)
+        _, s = raw_fidelity(full_record(Graph.path(2), np.ones(4), sig))
+        assert s == np.ldexp(0.75, power)
+
     def test_missing_entries_rejected(self):
         rec = MeasurementRecord(
             graph=Graph.path(2),
@@ -254,6 +264,30 @@ class TestMlFit:
             entries={1: MeasurementEntry(0.9, 0.0)},
         )
         with pytest.raises(ValueError, match="sigma"):
+            ml_fit(rec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           power=st.integers(-1000, 1000))
+    def test_power_of_2_on_every_sigma_leaves_the_fit_bit_identical(self, n, seed, power):
+        # the weights are formed on sigmas scaled by a power of 2, so that no
+        # weight overflows or underflows at extreme finite sigmas
+        g = Graph.path(n)
+        rec = sample_record(apply_noise(g, NoiseModel.uniform(n, 0.05)), g, shots=1000,
+                            seed=seed)
+        sigma = np.random.default_rng(seed).uniform(0.001, 0.1, rec.k.size)
+        fits = [ml_fit(MeasurementRecord.from_columns(g, rec.frame, rec.k, rec.value,
+                                                      np.ldexp(sigma, e), np.zeros(rec.k.size)))
+                for e in (0, power)]
+        assert np.array_equal(fits[0].p, fits[1].p)
+
+    def test_nan_residual_is_not_convergence(self, monkeypatch):
+        # NaN weights used to run the whole iteration cap and pass the
+        # residual test, since kkt > ML_TOL is False for a NaN
+        g = Graph.path(2)
+        rec = full_record(g, np.ones(4), np.full(4, 0.01))
+        monkeypatch.setattr(kernels, "pg_fit", lambda *a: (np.full(4, np.nan), np.nan, 1))
+        with pytest.raises(RuntimeError, match="did not reach"):
             ml_fit(rec)
 
     def test_shots_derive_sigma(self):

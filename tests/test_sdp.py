@@ -17,7 +17,7 @@ from stabverify import (
 )
 from stabverify.sdp import PptBlock, canonical_partitions
 from stabverify.simulate import NoiseModel, apply_noise
-from stabverify.solver import _ct, _diag, _nt_scaling, solve_conic
+from stabverify.solver import STEP_FRAC, _ct, _diag, _max_steps, _nt_scaling, solve_conic
 from conftest import graphs_and_frames
 from oracles import PauliString, pauli_to_matrix
 
@@ -305,6 +305,80 @@ def test_nt_scaling_diagonalizes_both_sides(data):
     assert close(R @ S @ _ct(R), _diag(lam))
     assert close(_ct(Ri) @ Z @ Ri, _diag(lam))
     assert close(W @ Z @ W, S)
+
+
+def _step_case(data, psd):
+    """lam > 0 and scaled directions ds, dz: a (k, d) lam with real or
+    complex Hermitian (k, d, d) stacks, or an (m,) lam with vectors.  Each
+    direction is indefinite or, at times, in the cone (an infinite step)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    shape = ((data.draw(st.integers(1, 4), label="k"), data.draw(st.integers(1, 6), label="d"))
+             if psd else (data.draw(st.integers(1, 12), label="m"),))
+    lam = np.exp(rng.uniform(-3.0, 3.0, shape))
+
+    def direction():
+        a = rng.standard_normal(shape + shape[-1:] if psd else shape)
+        if psd and not real:
+            a = a + 1j * rng.standard_normal(a.shape)
+        a = (a @ _ct(a) if psd else a * a) if data.draw(st.booleans(), label="in cone") else (
+            (a + _ct(a)) / 2.0 if psd else a)
+        return a * np.exp(rng.uniform(-3.0, 3.0))
+
+    real = data.draw(st.booleans(), label="real")
+    return lam, direction(), direction()
+
+
+def _cone_min(lam, d):
+    """Smallest eigenvalue of diag(lam) + d over the stack, or entry of lam + d."""
+    return (np.linalg.eigvalsh(_diag(lam) + d) if lam.ndim == 2 else lam + d).min()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_orthant_steps_are_the_rule_on_1x1_blocks(data):
+    # an orthant is a stack of 1 x 1 PSD blocks: the same rule, one eigensolve
+    # per entry, gives the same steps up to rounding
+    lam, ds, dz = _step_case(data, psd=False)
+    for d in ((ds,), (ds, dz)):
+        stacked = _max_steps(lam[:, None], *(v[:, None, None] for v in d))
+        assert np.allclose(_max_steps(lam, *d), stacked, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), psd=st.booleans())
+def test_finite_steps_end_on_the_cone_boundary(data, psd):
+    # diag(lam) + alpha d has its smallest eigenvalue (entry) at 0 and lies
+    # inside the cone short of the step; an infinite step has d in the cone
+    lam, ds, dz = _step_case(data, psd)
+    for alpha, d in zip(_max_steps(lam, ds, dz), (ds, dz)):
+        if alpha == np.inf:
+            assert _cone_min(np.zeros_like(lam), d) >= -1e-12 * np.abs(d).max()
+        else:
+            scale = lam.max() + alpha * np.abs(d).max()
+            assert abs(_cone_min(lam, alpha * d)) <= 1e-12 * scale
+            assert _cone_min(lam, STEP_FRAC * alpha * d) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), psd=st.booleans())
+def test_affine_dual_step_is_the_rule_on_its_direction(data, psd):
+    # dz = None stands for -diag(lam) - ds; the reciprocal step -min(e), 0
+    # for an infinite step, is compared, since a step near inf is ill-posed
+    lam, ds, _ = _step_case(data, psd)
+    explicit = -(_diag(lam) if psd else lam) - ds
+    got, want = (1.0 / np.array(_max_steps(lam, ds, dz)) for dz in (None, explicit))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * (1.0 + np.abs(ds).max() / lam.min()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_psd_steps_equal_separate_eigensolves(data):
+    # the one batched eigvalsh of both directions makes the same LAPACK
+    # calls as one eigvalsh per direction, so the steps are bit-identical
+    lam, ds, dz = _step_case(data, psd=True)
+    li = 1.0 / np.sqrt(lam)
+    ts = [np.linalg.eigvalsh((li[:, :, None] * d) * li[:, None, :]).min() for d in (ds, dz)]
+    assert _max_steps(lam, ds, dz) == [np.inf if t >= 0.0 else 1.0 / (-t) for t in ts]
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
