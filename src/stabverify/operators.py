@@ -146,7 +146,7 @@ def shannon_entropy(p: np.ndarray) -> float:
     """Base-2 entropy of a probability vector; 0 log 0 = 0."""
     p = np.asarray(p, dtype=float)
     nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return float(0.0 - (nz * np.log2(nz)).sum())  # 0.0, not -0.0, for a pure p
 
 
 def graph_diagonal_operator(

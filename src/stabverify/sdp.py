@@ -13,6 +13,8 @@ internals.  Each path computes the spectra and the dual bound in its own
 representation; one policy, ``_solution``, then checks them against
 ``PSD_FLOOR`` and ``GAP_BOUND`` and builds every ``SdpSolution``, the
 trivial one (sigma = 0 for a state that is PPT on every cut) included.
+Each path's constraint is one ``solve_conic`` block, and ``dense_newton``
+solves its Schur matrix.
 
 Two paths, each over the given bipartitions or, for None, all of them:
   * ``ppt_robustness(rho, partitions)``: dense sigma, capped at 5 qubits;
@@ -44,7 +46,8 @@ Two paths, each over the given bipartitions or, for None, all of them:
     (eps = 1, offset 0) of the same orthant block.  Feasibility and the
     rescaled dual bound are checked entrywise on vectors; no dense operator
     is built unless a caller reads ``SdpSolution.sigma`` or
-    ``.dual_certificate``.
+    ``.dual_certificate``; the certificate takes its spectra from the
+    block's own Walsh maps.
 """
 
 from __future__ import annotations
@@ -173,6 +176,17 @@ def _check_density(rho: np.ndarray):
         raise ValueError(f"rho has trace {tr!r}, expected 1")
 
 
+def dense_newton(H):
+    """rhs -> H^-1 rhs for a block's dense Schur matrix H, which it overwrites:
+    H is symmetrized and ridged by 1e-14 tr H / n, and a Cholesky factorization
+    raises ``np.linalg.LinAlgError`` unless it is positive definite."""
+    H += H.T
+    H *= 0.5
+    H.flat[::len(H) + 1] += 1e-14 * np.trace(H) / len(H)
+    np.linalg.cholesky(H)  # the positive-definiteness check
+    return lambda rhs: np.linalg.solve(H, rhs)
+
+
 def _hermitian_coords(d: int, real: bool):
     """Sigma's real coordinates as an index map into a flat d x d matrix.
 
@@ -214,7 +228,8 @@ class PptBlock:
     with the transpose): ``perm`` holds one permutation of the d^2 flat
     positions per part, and ``rows``, ``cols`` the row and column of the
     position x of each entry pair in each part.  So every map is a scatter
-    or gather on d x d matrices and no basis matrix is formed.
+    or gather on d x d matrices and no basis matrix is formed; ``factor``
+    solves with the matrix of ``schur`` through ``dense_newton``.
     """
 
     def __init__(self, rho, partitions):
@@ -302,6 +317,9 @@ class PptBlock:
         r[:u, :u], r[:u, u:] = p.real, q.imag
         r[u:, :u], r[u:, u:] = -p.imag, q.real
         return self.weights * r[np.ix_(self.index, self.index)]
+
+    def factor(self, W):
+        return dense_newton(self.schur(W))
 
 
 def _solution(value, sigma_min, cut_mins, dual_value, partitions, iterations,
@@ -423,24 +441,12 @@ def _cut_masks(graph: Graph, frame: LocalFrame, partitions):
     return StabilizerCodec(graph, frame).y_masks(), tmask
 
 
-def _cut_products(signs, v) -> np.ndarray:
-    """Row T is M_T v = H (eps_T * H v) / 2^n: the spectrum, in graph-basis
-    order, of the partial transpose over T of the graph-diagonal operator
-    with weights v."""
-    v = np.asarray(v, dtype=np.float64)
-    return kernels.fwht(signs * kernels.fwht(v)) / v.size
-
-
-def _cut_adjoint(signs, z) -> np.ndarray:
-    """sum_T M_T z_T for a (partitions, 2^n) stack z (each M_T is symmetric)."""
-    return kernels.fwht((signs * kernels.fwht(z)).sum(axis=0)) / z.shape[1]
-
-
 class CutBlock:
     """The LP's one orthant block, in u = H x for sigma's weights x: row T is
     M_T p + H (eps_T * u) / 2^n = spectrum of (rho + sigma)^Gamma_T, and row 0
     is T = {} (eps = 1, offset 0), which is x itself.  Applied by one Walsh
-    transform per row; no M_T is ever formed.
+    transform per row; no M_T is ever formed.  ``factor`` solves with the
+    matrix of ``schur`` through ``dense_newton``.
 
     ymask holds the Y-factor mask of each stabilizer element, tmask the qubit
     mask of each partition (see ``_cut_masks``), p the weights of rho.
@@ -454,9 +460,8 @@ class CutBlock:
         self._chars = _parity_signs(tmask, idx)
         self._gather = ((ymask[:, None] ^ ymask[None, :]) * dim
                         + (idx[:, None] ^ idx[None, :]))
-        g0 = np.zeros(self.signs.shape)
-        g0[1:] = _cut_products(self.signs[1:], p)
-        self.g0 = g0.ravel()
+        self.g0 = self.apply(kernels.fwht(p))
+        self.g0[:dim] = 0.0  # row T = {}: offset 0
 
     def slack(self, u):
         return self.g0 + self.apply(u)
@@ -481,30 +486,36 @@ class CutBlock:
         g = self._chars.T @ kernels.fwht(np.reshape(d, self.signs.shape))
         return g.ravel()[self._gather] / dim ** 2
 
+    def factor(self, d):
+        return dense_newton(self.schur(d))
+
 
 def _graph_diagonal_operators(sigma_weights, certificate_weights, graph, frame):
     return (graph_diagonal_operator(sigma_weights, graph, frame),
             [graph_diagonal_operator(y, graph, frame) for y in certificate_weights])
 
 
-def _certify_weights(p, q, raw_multipliers, signs, partitions, iterations,
+def _certify_weights(p, q, raw_multipliers, cuts, partitions, iterations,
                      graph, frame) -> SdpSolution:
     """Diagonal counterpart of ``_certify`` on graph-basis weight vectors.
 
     rho, sigma and every Y_T are graph-diagonal with weights p, q and the
-    rows of raw_multipliers, so each spectrum below is exact: sigma's is q,
-    (rho + sigma)^Gamma_T's is M_T (p + q), and (sum_T Y_T^Gamma_T)'s is
-    sum_T M_T y_T.  All are recomputed from p, q and y_T, never taken from
-    solver slacks.  The y_T are clipped at 0 and rescaled so the dual
-    constraint sum_T Y_T^Gamma_T <= I holds, as in ``_certify``.
+    cut rows of the dual raw_multipliers, so each spectrum below is exact:
+    sigma's is q, (rho + sigma)^Gamma_T's is M_T (p + q) = row T of
+    cuts.apply(H (p + q)), and (sum_T Y_T^Gamma_T)'s is sum_T M_T y_T =
+    H cuts.adjoint(y) with y = 0 on row T = {}.  All are recomputed from p, q
+    and y_T, never from solver slacks.  The y_T are clipped at 0 and rescaled
+    so the dual constraint sum_T Y_T^Gamma_T <= I holds, as in ``_certify``.
     """
-    clipped = np.maximum(raw_multipliers, 0.0)
-    theta = max(0.0, float(_cut_adjoint(signs, clipped).max()) - 1.0)
-    certificate = clipped / (1.0 + theta)
-    dual_value = -float(np.sum(certificate * _cut_products(signs, p)))
+    rows = cuts.signs.shape
+    clipped = np.maximum(raw_multipliers.reshape(rows), 0.0)
+    clipped[0] = 0.0  # row T = {} is sigma >= 0, not a cut
+    theta = max(0.0, float(kernels.fwht(cuts.adjoint(clipped)).max()) - 1.0)
+    certificate = clipped[1:] / (1.0 + theta)
+    dual_value = -float(np.sum(certificate * cuts.g0.reshape(rows)[1:]))
+    spectra = cuts.apply(kernels.fwht(p + q)).reshape(rows)[1:]
     return _solution(
-        float(q.sum()), float(q.min()),
-        [float(w.min()) for w in _cut_products(signs, p + q)], dual_value,
+        float(q.sum()), float(q.min()), [float(w.min()) for w in spectra], dual_value,
         partitions, iterations, "reduced",
         partial(_graph_diagonal_operators, q, list(certificate), graph, frame),
     )
@@ -546,7 +557,5 @@ def symmetry_reduced_robustness(
     u0 = D * (0.5 + 2.0 * max(0.0, -low)) * c
     res = solve_conic(c, cuts, u0)
     x = kernels.fwht(res.x) / D
-    return _certify_weights(
-        p, np.maximum(x, 0.0), res.dual.reshape(cuts.signs.shape)[1:],
-        cuts.signs[1:], partitions, res.iterations, graph, frame,
-    )
+    return _certify_weights(p, np.maximum(x, 0.0), res.dual, cuts, partitions,
+                            res.iterations, graph, frame)

@@ -6,26 +6,28 @@
 
 Mehrotra predictor-corrector with Nesterov-Todd scaling.  The constraint is
 one block: an object with ``slack(x)``, ``apply(dx)``, ``adjoint(Z)`` and
-``schur(W)``, whose cone the solver reads from the shape of the slack.  A
+``factor(W)``, whose cone the solver reads from the shape of the slack.  A
 (k, d, d) slack is a stack of complex Hermitian or real symmetric matrices
 (a real slack keeps every iterate and eigensolve real) in the PSD cone, paired
-with its dual by Re tr summed over the stack, and its Schur term at the
-stack W of scaling matrices is [sum_j Re tr(F_ij W_j F_kj W_j)]_ik.  A vector
-slack lies in the orthant, and its Schur term at the scaling vector W is
-G' diag(W) G.  The solver never sees the F_ij or G, so each block applies
-its constraint in its own structure (``sdp.PptBlock``, ``sdp.CutBlock``).
+with its dual by Re tr summed over the stack, and its Schur matrix at the
+stack W = R* R of scaling matrices is [sum_j Re tr(F_ij W_j F_kj W_j)]_ik.  A
+vector slack lies in the orthant, and its Schur matrix at the scaling vector
+W = 1 / r^2 is G' diag(W) G.  ``factor(W)`` returns a solve rhs -> dx of
+the Schur system, or raises ``np.linalg.LinAlgError`` if it is not positive
+definite.  The solver never sees the F_ij, G or the Schur matrix, so each
+block applies its constraint and solves its Newton system in its own
+structure (``sdp.PptBlock``, ``sdp.CutBlock``; ``sdp.dense_newton``).
 
-Each iteration forms and checks the Schur matrix once: a Cholesky
-factorization tests that it is positive definite.  Both Newton directions,
-predictor and corrector, come from one routine: dx by ``np.linalg.solve``
-(numpy has no triangular solve), dS = apply(dx), ds = scale(dS), dz = K - ds
-and dZ = back(dz).  The cone enters in three places only: the scaling pair,
-sym(R dS R*) and sym(R* dz R) for a PSD stack (R from a batched Cholesky
-factor of the dual and one batched ``eigh``) or dS / r and dz / r on an
-orthant; the corrector's complementarity target K; and the scaled spectrum
-of the step test, one batched ``eigvalsh`` of both directions on a PSD stack
-or D / lam on an orthant.  A failed factorization or step-length eigensolve
-raises SdpConvergenceError with the best iterate.
+Each iteration factors the Newton system once.  Both Newton directions,
+predictor and corrector, come from one routine: dx from the block's solve,
+dS = apply(dx), ds = scale(dS), dz = K - ds and dZ = back(dz).  The cone
+enters in three places only: the scaling pair, sym(R dS R*) and
+sym(R* dz R) for a PSD stack (R from a batched Cholesky factor of the dual
+and one batched ``eigh``) or dS / r and dz / r on an orthant; the
+corrector's complementarity target K; and the scaled spectrum of the step
+test, one batched ``eigvalsh`` of both directions on a PSD stack or D / lam
+on an orthant.  A failed scaling, Newton factorization or step-length
+eigensolve raises SdpConvergenceError with the best iterate.
 Iterates are rebound, never updated in place, so none is copied.
 
 The dual starts at 1 on each orthant entry and at 2 I on each d x d matrix,
@@ -141,27 +143,24 @@ def solve_conic(c: np.ndarray, block, x0: np.ndarray, max_iter: int = 200) -> Ip
                 R, lam = _nt_scaling(S, Z)
             except np.linalg.LinAlgError as exc:
                 raise fail(f"NT scaling failed at iteration {it}: {exc}") from None
-            H = block.schur(_ct(R) @ R)
+            W = _ct(R) @ R
             Lam = _diag(lam)
             scale = lambda D: _sym(R @ D @ _ct(R))
             back = lambda D: _sym(_ct(R) @ D @ R)
         else:
             R = np.sqrt(S / Z)
-            H = block.schur(1.0 / R ** 2)
+            W = 1.0 / R ** 2
             lam = Lam = np.sqrt(S * Z)
             scale = back = lambda D: D / R
-        H += H.T
-        H *= 0.5
-        H.flat[::c.size + 1] += 1e-14 * np.trace(H) / c.size
         try:
-            np.linalg.cholesky(H)  # the positive-definiteness check
+            solve = block.factor(W)
         except np.linalg.LinAlgError:
             raise fail(f"Schur system not positive definite at iteration {it}") from None
 
         def directions(K, rhs):
             """Newton direction (dx, dS, dZ, ds, dz) to the scaled
             complementarity target K, from the Schur right-hand side rhs."""
-            dx = np.linalg.solve(H, rhs)
+            dx = solve(rhs)
             dS = block.apply(dx)
             ds = scale(dS)
             dz = K - ds

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -237,6 +238,20 @@ class TestSimulate:
         assert code == 0
         assert abs(rep["raw"]["fidelity"]["value"] - 1.0) < 1e-12
         assert abs(rep["ml"]["fidelity"]["value"] - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("graph,frame", [("paper4", "paper4"), ("path:1", "identity")])
+    def test_pure_fit_entropy_is_positive_zero(self, tmp_path, capsys, graph, frame):
+        # a noiseless record fits a pure state, whose entropy must print as
+        # 0, not as the -0 of a negated zero sum
+        out = tmp_path / "pure.json"
+        code, _, _ = run_cli(capsys, "simulate", "--graph", graph, "--frame", frame,
+                             "--shots", "1000", "--out", str(out))
+        assert code == 0
+        code, rep, _ = run_json(capsys, "analyze", str(out))
+        entropy = rep["ml"]["entropy"]["value"]
+        assert code == 0 and entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+        code, text, _ = run_cli(capsys, "analyze", str(out))
+        assert code == 0 and re.search(r"^\s*entropy\s+0\s+\(ml\)$", text, re.M)
 
 
 class TestRobustnessCommand:

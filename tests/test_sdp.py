@@ -15,7 +15,7 @@ from stabverify import (
     ppt_robustness,
     symmetry_reduced_robustness,
 )
-from stabverify.sdp import PptBlock, canonical_partitions
+from stabverify.sdp import PptBlock, canonical_partitions, dense_newton
 from stabverify.simulate import NoiseModel, apply_noise
 from stabverify.solver import STEP_FRAC, _ct, _diag, _max_steps, _nt_scaling, solve_conic
 from conftest import graphs_and_frames
@@ -43,6 +43,9 @@ class SdpBlock:
     def schur(self, W):
         G = W[None] @ self.F @ W[None]
         return np.tensordot(self.F, G.swapaxes(-1, -2), axes=([1, 2, 3], [1, 2, 3])).real
+
+    def factor(self, W):
+        return dense_newton(self.schur(W))
 
 
 def three_gather_schur(block, W):
@@ -253,8 +256,9 @@ class KeepsIterates:
     def apply(self, dx):
         return self.block.apply(dx)
 
-    def schur(self, W):
-        return self.block.schur(W)
+    def factor(self, W):
+        self.seen.append((W, W.copy()))
+        return self.block.factor(W)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "cut"])
@@ -273,6 +277,91 @@ def test_kept_iterates_are_never_overwritten(kind):
         assert c @ res.x == res.objective
         assert np.vdot(block.slack(res.x), res.dual).real == res.gap
     assert all(np.array_equal(a, kept) for a, kept in keeper.seen)
+
+
+class DiagonalBlock:
+    """min c'x s.t. x >= low as one orthant block with the identity map: its
+    Schur matrix is diag(W), which ``factor`` inverts entrywise.  It has no
+    ``schur``, so the solver can only reach it through ``factor``."""
+
+    def __init__(self, low):
+        self.low = low
+
+    def slack(self, x):
+        return x - self.low
+
+    def apply(self, dx):
+        return dx
+
+    def adjoint(self, z):
+        return z
+
+    def factor(self, W):
+        return lambda rhs: rhs / W
+
+
+def test_newton_solves_come_only_from_the_block(monkeypatch):
+    # with numpy's dense solve and Cholesky refusing every call, an
+    # elementwise factor still takes the solver to x = low
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solver called dense linear algebra")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    low, c = np.array([0.3, -1.0, 2.0, 0.0]), np.array([1.0, 2.0, 0.5, 3.0])
+    res = solve_conic(c, DiagonalBlock(low), low + 1.0)
+    assert res.converged
+    assert np.allclose(res.x, low, rtol=0, atol=1e-6)
+    assert np.allclose(res.dual, c, rtol=1e-6)
+
+
+class FactorFailsAt:
+    """A block whose factorization raises LinAlgError, as for a Schur matrix
+    that is not positive definite, from its call number `at` (0-based) on."""
+
+    def __init__(self, block, at):
+        self.block, self.at, self.calls = block, at, 0
+
+    def __getattr__(self, name):
+        return getattr(self.block, name)
+
+    def factor(self, W):
+        self.calls += 1
+        if self.calls > self.at:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return self.block.factor(W)
+
+
+def test_failed_factor_raises_with_the_best_iterate():
+    c, block, x0 = conic_program("cut")
+    message = r"^Schur system not positive definite at iteration 2$"
+    with pytest.raises(SdpConvergenceError, match=message) as ei:
+        solve_conic(c, FactorFailsAt(block, 2), x0)
+    res = ei.value.result
+    assert res is not None and not res.converged and res.iterations <= 2
+    assert c @ res.x == res.objective
+    assert np.vdot(block.slack(res.x), res.dual).real == res.gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=63, seed=0)
+@example(n=64, seed=0)
+@example(n=65, seed=0)
+def test_dense_newton_solves_the_ridged_symmetric_part(n, seed):
+    # bit for bit np.linalg.solve on (H + H') / 2 with the 1e-14 tr / n ridge,
+    # for H whose symmetric part is positive definite; a symmetric H with a
+    # negative diagonal entry is not positive definite and is refused
+    rng = np.random.default_rng(seed)
+    H = rng.uniform(-1.0, 1.0, (n, n)) + (n + 1.0) * np.eye(n)
+    rhs = rng.standard_normal(n)
+    S = 0.5 * (H + H.T)
+    S[np.diag_indices(n)] += 1e-14 * np.trace(S) / n
+    assert np.array_equal(dense_newton(H.copy())(rhs), np.linalg.solve(S, rhs))
+    k = rng.integers(n)
+    S[k, k] = -S[k, k]
+    with pytest.raises(np.linalg.LinAlgError):
+        dense_newton(S)
 
 
 def unit_bounded(shape):
