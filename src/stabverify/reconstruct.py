@@ -235,8 +235,10 @@ class GraphDiagonalState:
             raise ValueError("populations must be finite numbers")
         if p.min() < -1e-10:
             raise ValueError(f"negative population {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError(f"populations sum to {float(p.sum())!r}, not 1")
+        with np.errstate(over="ignore"):  # finite entries may sum to inf
+            total = float(p.sum())
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"populations sum to {total!r}, not 1")
         object.__setattr__(self, "p", p)
 
     @property

@@ -17,19 +17,19 @@ Each path's constraint is one ``solve_conic`` block, and ``dense_newton``
 solves its Schur matrix.
 
 Two paths, each over the given bipartitions or, for None, all of them:
-  * ``ppt_robustness(rho, partitions)``: dense sigma, capped at 5 qubits;
-    Hermitian (4^n real coordinates) for complex rho, real symmetric
-    (2^n (2^n + 1) / 2) for real rho, whose optimum is real.  The coordinates
-    are an index map into sigma's d x d matrix (``_hermitian_coords``), and
-    sigma >= 0 with every (rho + sigma)^Gamma_T >= 0 is one ``PptBlock``: a
-    stack of complex Hermitian or real symmetric d x d matrices, paired with
-    the dual stack by Re tr.  A partial transpose only permutes matrix
-    positions, so the block's slack, apply and adjoint are each one scatter
-    or gather, and its Schur term comes from rows of one Khatri-Rao product
-    of two column takes of each scaling matrix, summed over the stack, as in
-    the sparse Schur assembly of Fujisawa, Kojima and Nakata, Math. Program.
-    79 (1997); no basis matrix is built.  Certified by fresh complex dense
-    eigensolves, one stacked call per check.
+  * ``ppt_robustness(rho, partitions)``: dense sigma, capped at 5 qubits.
+    Sigma's coordinates (``_hermitian_coords``) are its diagonal, the Re
+    parts above it and, for complex rho only, the Im parts: real symmetric
+    (2^n (2^n + 1) / 2) for real rho, whose optimum is real, a prefix of the
+    Hermitian ones (4^n).  sigma >= 0 with every (rho + sigma)^Gamma_T >= 0
+    is one ``PptBlock``: a stack of complex Hermitian or real symmetric d x d
+    matrices, paired with the dual stack by Re tr.  A partial transpose only
+    permutes matrix positions, so the block's offsets, slack, apply and
+    adjoint are each one scatter or gather, and its Schur term comes from
+    rows of one Khatri-Rao product of two column takes of each scaling
+    matrix, summed over the stack, as in the sparse Schur assembly of
+    Fujisawa, Kojima and Nakata, Math. Program. 79 (1997).  Certified by
+    fresh complex eigensolves of the block's own maps, one per check.
   * ``symmetry_reduced_robustness``: for graph-diagonal rho the optimum may
     be sought among graph-diagonal sigma (stabilizer twirling preserves
     feasibility and the objective), where every partial transpose is again
@@ -190,15 +190,15 @@ def dense_newton(H):
 def _hermitian_coords(d: int, real: bool):
     """Sigma's real coordinates as an index map into a flat d x d matrix.
 
-    Hermitian coordinates (d^2) are those of the basis E_aa, then for each
-    a < b in row-major order E_ab + E_ba and -i E_ab + i E_ba; real symmetric
-    ones (real, d(d+1)/2) keep only E_aa and E_ab + E_ba.  Entry pair u holds
-    the flat positions pos[u] = (x, swap x) of sigma's entries z_u and
-    conj(z_u): first the d diagonal pairs, then each (a, b) with a < b.  With
-    y = (Re z, Im z), coordinate i sets y[index[i]] = scale[i] x_i: so
-    Re z_aa = x_i / 2 (z_aa is counted at both positions of its pair),
-    Re z_ab = x_i and Im z_ab = -x_{i+1}.  weights = 2 scale scale' is the
-    factor of ``PptBlock.schur``.
+    Entry pair u holds the flat positions pos[u] = (x, swap x) of sigma's
+    entries z_u and conj(z_u): first the d diagonal pairs, then each (a, b)
+    with a < b in row-major order.  The coordinates, of the basis E_aa, then
+    E_ab + E_ba, then -i E_ab + i E_ba, are the d diagonal entries, Re z_ab of
+    each pair, then (complex rho only) Im z_ab of each pair, so the real
+    symmetric ones (d(d+1)/2) are a prefix of the Hermitian ones (d^2).
+    Coordinate i sets Re z_u = scale[i] x_i (Re z_aa = x_i / 2, as z_aa is
+    counted at both positions of its pair) or Im z_ab = scale[i] x_i = -x_i.
+    weights = 2 scale scale' is the factor of ``PptBlock.schur``.
 
     For real rho the real set is exact: conjugation commutes with every
     partial transpose and keeps sigma >= 0 and tr sigma, so (sigma +
@@ -209,12 +209,9 @@ def _hermitian_coords(d: int, real: bool):
     rows = np.concatenate((np.arange(d), a))
     cols = np.concatenate((np.arange(d), b))
     pos = np.stack((rows * d + cols, cols * d + rows), axis=1)
-    off = np.arange(d, rows.size)
-    index = np.concatenate((np.arange(d), np.stack((off, rows.size + off), axis=1).ravel()))
-    scale = np.concatenate((np.full(d, 0.5), np.tile([1.0, -1.0], a.size)))
-    if real:  # the Re parts alone: index becomes arange(u)
-        index, scale = index[index < rows.size], scale[index < rows.size]
-    return pos, index, scale, 2.0 * np.multiply.outer(scale, scale)
+    im = np.full(0 if real else a.size, -1.0)  # Im z_ab = -x_i
+    scale = np.concatenate((np.full(d, 0.5), np.ones(a.size), im))
+    return pos, scale, 2.0 * np.multiply.outer(scale, scale)
 
 
 class PptBlock:
@@ -225,31 +222,30 @@ class PptBlock:
     A real rho takes the real symmetric coordinates and a float64 stack,
     any other rho the Hermitian ones and a complex128 stack.  A partial
     transpose only permutes matrix positions (an involution that commutes
-    with the transpose): ``perm`` holds one permutation of the d^2 flat
-    positions per part, and ``rows``, ``cols`` the row and column of the
-    position x of each entry pair in each part.  So every map is a scatter
-    or gather on d x d matrices and no basis matrix is formed; ``factor``
-    solves with the matrix of ``schur`` through ``dense_newton``.
+    with the transpose): M^Gamma_T = M.ravel()[perm[T]], and ``rows``,
+    ``cols`` hold the row and column of the position x of each entry pair in
+    each part.  So the offsets, every map and the certificate's partial
+    transposes are scatters or gathers on d x d matrices and no basis matrix
+    is formed; ``factor`` solves with the matrix of ``schur`` (``dense_newton``).
     """
 
     def __init__(self, rho, partitions):
         d = rho.shape[0]
         real = not rho.imag.any()
-        self.base, self.index, self.scale, self.weights = _hermitian_coords(d, real)
+        self.base, self.scale, self.weights = _hermitian_coords(d, real)
         parts = [(), *partitions]
         flat = np.arange(d * d).reshape(d, d)
         self.perm = np.stack([partial_transpose(flat, part).ravel() for part in parts])
         self.rows, self.cols = np.divmod(self.perm[:, self.base[:, 0]], d)
-        rho = rho.real if real else rho
-        self.offset = np.stack([np.zeros((d, d), dtype=rho.dtype)]
-                               + [partial_transpose(rho, part) for part in partitions])
+        self.offset = (rho.real if real else rho).ravel()[self.perm].reshape(len(parts), d, d)
+        self.offset[0] = 0.0
 
     def hermitian(self, x):
         """sigma = sum_i x_i B_i as a d x d matrix of the stack's dtype."""
-        u = len(self.base)
-        y = np.zeros(2 * u)
-        y[self.index] = self.scale * x
-        z = y[:u] + 1j * y[u:] if np.iscomplexobj(self.offset) else y[:u]
+        u, y = len(self.base), self.scale * x
+        z = y[:u].astype(self.offset.dtype)  # Re z
+        if y.size > u:  # Im coordinates: Im z of the pairs a < b
+            z.imag[self.offset.shape[1]:] = y[u:]
         h = np.zeros(self.perm.shape[1], dtype=self.offset.dtype)
         h[self.base[:, 1]] = z.conj()
         h[self.base[:, 0]] += z  # a diagonal pair gets z + conj(z) = x_i
@@ -261,41 +257,46 @@ class PptBlock:
     def apply(self, dx):
         return self.hermitian(dx).ravel()[self.perm].reshape(self.offset.shape)
 
+    def _transposed_sum(self, Z):
+        """sum_T Z_T^Gamma_T, flat, for any (k, d, d) stack Z."""
+        z = np.reshape(Z, self.perm.shape)
+        return np.take_along_axis(z, self.perm, axis=1).sum(axis=0)
+
     def adjoint(self, Z):
         """sum_T Re tr(B_i^Gamma_T Z_T) for each i; Z is any (k, d, d) stack.
 
         The partial transpose is its own adjoint under Re tr, so this is
         Re tr(B_i Y) with Y = sum_T Z_T^Gamma_T: on the pair (x, swap x) of
-        B_i, scale_i Re(Y[x] + Y[swap x]) for a real part and
-        scale_i Im(Y[x] - Y[swap x]) for an imaginary part.
+        B_i, scale_i Re(Y[x] + Y[swap x]) for a Re coordinate and
+        scale_i Im(Y[x] - Y[swap x]) for an Im coordinate.
         """
-        z = np.reshape(Z, self.perm.shape)
-        y = np.take_along_axis(z, self.perm, axis=1).sum(axis=0)
+        y = self._transposed_sum(Z)
         a, b = y[self.base[:, 0]], y[self.base[:, 1]]
-        return self.scale * np.concatenate(((a + b).real, (a - b).imag))[self.index]
+        im = (a - b).imag[self.offset.shape[1]:] if self.scale.size > a.size else []
+        return self.scale * np.concatenate(((a + b).real, im))
 
     def schur(self, W):
         """[sum_T Re tr(A_iT W_T A_kT W_T)]_ik with A_iT = B_i^Gamma_T, for a
         Hermitian (k, d, d) stack W.
 
-        In part T coordinate i sits on the entry pair (x, swap x) of its
-        index, with A_iT = c_i E_x + conj(c_i) E_swap x, where c_i is scale_i
-        for a real part and i scale_i for an imaginary part.  For k on the
+        In part T coordinate i sits on its entry pair (x, swap x), with
+        A_iT = c_i E_x + conj(c_i) E_swap x, where c_i is scale_i
+        for a Re coordinate and i scale_i for an Im coordinate.  For k on the
         pair (y, swap y), and with K[(p, q), (r, s)] = W_T[q, r] W_T[s, p],
 
             Re tr(A_iT W_T A_kT W_T) = 2 Re (c_i c_k K[x, y] + c_i conj(c_k) K[x, swap y]),
 
         as the two terms at swap x are conjugates of these (Hermitian W_T
         gives K[swap x, swap y] = conj K[x, y]).  That is 2 scale_i scale_k
-        times the entry (index_i, index_k) of [[Re P, Im Q], [-Im P, Re Q]],
-        where P = K[x, swap y] + K[x, y] and Q = K[x, swap y] - K[x, y].
+        times the entry (i, k) of [[Re P, Im Q], [-Im P, Re Q]] (Im rows and
+        columns on the pairs a < b), P = K[x, swap y] + K[x, y], Q = K[x, swap y] - K[x, y].
         With x = (a, b) over the pairs, A = W_T[:, a] and B = W_T'[:, b], the
         Khatri-Rao product Y[(p, q), k] = A[p, k] B[q, k] holds K[x, y] in its
         row swap x = (b, a) and, W_T being Hermitian, conj K[x, swap y] in its
         row x.  Only these rows are formed, as A[b] * B[a] and A[a] * B[b].
-        Both K are summed over the parts, and P, Q, the index gather and the
-        weights are formed once from the sums.  The real symmetric
-        coordinates (real W) need Re P alone; Q is never formed.
+        Both K are summed over the parts, and P, Q and the weights are formed
+        once from the sums.  The real symmetric coordinates (real W) need
+        Re P alone; Q is never formed.
         """
         u, d = self.rows.shape[1], W.shape[1]
         kxy, kxs, g, h = (np.zeros((u, u), W.dtype) for _ in range(4))
@@ -313,10 +314,8 @@ class PptBlock:
         if not np.iscomplexobj(self.offset):
             return self.weights * p.real
         q = kxs - kxy
-        r = np.empty((2 * u, 2 * u))
-        r[:u, :u], r[:u, u:] = p.real, q.imag
-        r[u:, :u], r[u:, u:] = -p.imag, q.real
-        return self.weights * r[np.ix_(self.index, self.index)]
+        return self.weights * np.block([[p.real, q.imag[:, d:]],
+                                        [-p.imag[d:], q.real[d:, d:]]])
 
     def factor(self, W):
         return dense_newton(self.schur(W))
@@ -355,26 +354,28 @@ def _solution(value, sigma_min, cut_mins, dual_value, partitions, iterations,
     )
 
 
-def _certify(rho, sigma, partitions, raw_multipliers, iterations) -> SdpSolution:
+def _certify(block, x, dual, partitions, iterations) -> SdpSolution:
     """The dense path's spectra and dual bound, by fresh eigensolves.
 
-    raw_multipliers: (partitions, d, d) stack of complex Hermitian Y_T (any
-    roundoff), clipped to the PSD cone and rescaled so sum Y_T^Gamma <= I
-    holds exactly: a rigorous dual bound.  Each check is one stacked eigh.
+    All are recomputed from the returned x and dual through the block's own
+    maps, never taken from solver slacks: sigma and every (rho + sigma)^Gamma_T
+    are the stack block.slack(x), every rho^Gamma_T is block.offset, and
+    sum_T Y_T^Gamma_T is the sum over parts that ``PptBlock.adjoint`` takes.
+    The cut rows Y_T of dual (Hermitian up to roundoff) are clipped to the PSD
+    cone and rescaled so sum Y_T^Gamma_T <= I holds exactly: a rigorous dual
+    bound.  Each check is one stacked eigh.
     """
-    d = rho.shape[0]
-    w, V = eig_hermitian(raw_multipliers)
+    d = block.offset.shape[1]
+    w, V = eig_hermitian(dual)
     clipped = (V * np.clip(w, 0.0, None)[:, None, :]) @ V.conj().swapaxes(1, 2)
-    excess = sum(partial_transpose(Y, part) for part, Y in zip(partitions, clipped))
-    we, _ = eig_hermitian(np.eye(d) - excess)
+    clipped[0] = 0.0  # part T = () is sigma >= 0, not a cut
+    we, _ = eig_hermitian(np.eye(d) - block._transposed_sum(clipped).reshape(d, d))
     theta = max(0.0, -float(we[0]))
-    certificate = list((1.0 / (1.0 + theta)) * clipped)
-    dual_value = -sum(
-        trace_inner(Y, partial_transpose(rho, part))
-        for part, Y in zip(partitions, certificate)
-    )
-    mins = eig_hermitian(np.stack(
-        [sigma] + [partial_transpose(rho + sigma, part) for part in partitions]))[0][:, 0]
+    certificate = list((1.0 / (1.0 + theta)) * clipped[1:])
+    dual_value = -sum(trace_inner(Y, R) for Y, R in zip(certificate, block.offset[1:]))
+    S = block.slack(x)
+    mins = eig_hermitian(S)[0][:, 0]
+    sigma = S[0].astype(np.complex128)
     return _solution(
         float(np.trace(sigma).real), float(mins[0]), mins[1:].tolist(), dual_value,
         partitions, iterations, "dense", lambda: (sigma, certificate),
@@ -403,18 +404,16 @@ def ppt_robustness(rho, partitions=None) -> SdpSolution:
     check_solver_size(n, "dense")
     _check_density(rho)
     partitions = canonical_partitions(n, partitions)
-    pt_eigs = eig_hermitian(np.stack(
-        [partial_transpose(rho, part) for part in partitions]))[0][:, 0].tolist()
+    block = PptBlock(rho, partitions)
+    pt_eigs = eig_hermitian(block.offset[1:])[0][:, 0].tolist()  # rho^Gamma_T
     if min(pt_eigs) >= -1e-12:
         return _trivial_solution(d, partitions, pt_eigs, "dense")
 
-    block = PptBlock(rho, partitions)
-    c = np.zeros(block.index.size)
+    c = np.zeros(block.scale.size)
     c[:d] = 1.0  # tr(sigma): the diagonal coordinates come first
     x0 = (0.5 + 2.0 * max(0.0, -min(pt_eigs))) * c  # sigma starts at t0 * identity
     res = solve_conic(c, block, x0)
-    return _certify(rho, block.hermitian(res.x).astype(np.complex128), partitions,
-                    res.dual[1:].astype(np.complex128), res.iterations)
+    return _certify(block, res.x, res.dual, partitions, res.iterations)
 
 
 # ----------------------------------------------------------------------

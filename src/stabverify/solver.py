@@ -152,6 +152,7 @@ def solve_conic(c: np.ndarray, block, x0: np.ndarray, max_iter: int = 200) -> Ip
             W = 1.0 / R ** 2
             lam = Lam = np.sqrt(S * Z)
             scale = back = lambda D: D / R
+        solve = None  # drop the last Newton matrix before the next factorization
         try:
             solve = block.factor(W)
         except np.linalg.LinAlgError:

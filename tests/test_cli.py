@@ -636,6 +636,17 @@ class TestPartitionsInput:
         assert "populations sum to 0.7" in err
         assert "np." not in err
 
+    def test_population_sum_that_overflows_gives_one_error_line(self, tmp_path, capsys):
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({"graph": {"n": 2, "edges": [[1, 2]]},
+                                 "p": [1e308, 1e308, 0, 0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # outside pytest a warning reaches stderr
+            code, out, err = run_cli(capsys, "robustness", str(f))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "sum to inf" in err
+
 
 class TestSolverCaps:
     def write_state(self, tmp_path, n):

@@ -62,22 +62,16 @@ def three_gather_schur(block, W):
     if not np.iscomplexobj(block.offset):
         return block.weights * p.real
     q = kxs - kxy
-    r = np.block([[p.real, q.imag], [-p.imag, q.real]])
-    return block.weights * r[np.ix_(block.index, block.index)]
+    d = len(W[0])  # the Im coordinates sit on the pairs a < b, from pair d on
+    return block.weights * np.block([[p.real, q.imag[:, d:]], [-p.imag[d:], q.real[d:, d:]]])
 
 
 def hermitian_basis(d):
-    """E_aa, then for each a < b in row-major order E_ab + E_ba and -i E_ab + i E_ba."""
-    basis = []
-    for a in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[a, a] = 1.0
-        basis.append(e)
+    """E_aa, then for each a < b in row-major order E_ab + E_ba, then for each
+    a < b in the same order -i E_ab + i E_ba: the real symmetric basis first."""
+    basis = [b + 0j for b in symmetric_basis(d)]
     for a in range(d):
         for b in range(a + 1, d):
-            e = np.zeros((d, d), dtype=np.complex128)
-            e[a, b] = e[b, a] = 1.0
-            basis.append(e)
             e = np.zeros((d, d), dtype=np.complex128)
             e[a, b], e[b, a] = -1.0j, 1.0j
             basis.append(e)
@@ -343,6 +337,32 @@ def test_failed_factor_raises_with_the_best_iterate():
     assert np.vdot(block.slack(res.x), res.dual).real == res.gap
 
 
+def test_last_newton_matrix_is_released_before_the_next_factorization(monkeypatch):
+    # each iteration's solve holds its Schur matrix; it must be freed before
+    # the next one is formed and factored, or a large solve peaks with two
+    import weakref
+
+    import stabverify.sdp as sdp
+
+    made, live = [], []
+    newton, factor = sdp.dense_newton, sdp.CutBlock.factor
+
+    def recording_newton(H):
+        made.append(weakref.ref(H))
+        return newton(H)
+
+    def counting_factor(block, W):
+        live.append(sum(ref() is not None for ref in made))
+        return factor(block, W)
+
+    monkeypatch.setattr(sdp, "dense_newton", recording_newton)
+    monkeypatch.setattr(sdp.CutBlock, "factor", counting_factor)
+    graph = Graph.path(4)
+    sol = symmetry_reduced_robustness(apply_noise(graph, NoiseModel.uniform(4, 0.05)).p, graph)
+    assert sol.iterations == len(live) == len(made) >= 5
+    assert live == [0] * len(live)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
 @example(n=63, seed=0)
@@ -520,7 +540,7 @@ def test_ppt_block_matches_dense_oracle(data):
         basis = hermitian_basis(d)
     x = data.draw(unit_bounded(len(basis)))
     block = PptBlock(rho + 0j, parts)
-    assert block.index.size == (d * (d + 1) // 2 if real else d * d) == len(basis)
+    assert block.scale.size == (d * (d + 1) // 2 if real else d * d) == len(basis)
     assert block.offset.dtype == (np.float64 if real else np.complex128)
     all_parts = [(), *parts]
     F = np.stack([np.stack([partial_transpose(B, t) for t in all_parts]) for B in basis])
@@ -851,6 +871,31 @@ class TestReducedPath:
             vd = ppt_robustness(rho, parts).value
             vr = symmetry_reduced_robustness(p, graph, partitions=parts).value
             assert abs(vd - vr) < 1e-5
+
+    def test_nine_qubit_prefix_cuts_match_an_independent_lp_solver(self):
+        # the LP min sum x s.t. M_T (p + x) >= 0, x >= 0 with every M_T formed
+        # densely from scipy's Hadamard matrix and solved by HiGHS, at
+        # D = 512: its value lies between the certified dual bound and value
+        from scipy.linalg import hadamard
+        from scipy.optimize import linprog
+
+        from stabverify.pauli import LocalFrame, StabilizerCodec
+
+        n = 9
+        graph = Graph.path(n)
+        eps = np.random.default_rng(9).uniform(0.02, 0.08, n)
+        p = apply_noise(graph, NoiseModel(tuple(eps), 0.01)).p
+        cuts = [tuple(range(1, k + 1)) for k in range(1, n)]
+        sol = symmetry_reduced_robustness(p, graph, partitions=cuts)
+        H = hadamard(1 << n).astype(float)
+        y = StabilizerCodec(graph, LocalFrame.identity(n)).y_masks()
+        eps_t = [1.0 - 2.0 * (np.bitwise_count(y & sum(1 << (q - 1) for q in cut)) & 1)
+                 for cut in cuts]
+        M = np.vstack([H @ (e[:, None] * H) for e in eps_t]) / (1 << n)
+        lp = linprog(np.ones(1 << n), A_ub=-M, b_ub=M @ p, bounds=(0, None), method="highs")
+        assert lp.status == 0
+        tol = 1e-7 * (1.0 + abs(sol.value))
+        assert sol.dual_value - tol <= lp.fun <= sol.value + tol
 
     def test_matches_dense_single_partitions(self):
         graph = Graph.path(3)
