@@ -256,7 +256,8 @@ class BoundValue:
     sigma: float
 
     def to_json_dict(self, provenance: str = "generator-bound") -> dict:
-        return {"value": self.value, "sigma": self.sigma, "provenance": provenance}
+        return {"value": float(self.value), "provenance": provenance,
+                "sigma": float(self.sigma)}
 
 
 @dataclass(frozen=True)

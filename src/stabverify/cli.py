@@ -277,10 +277,7 @@ def cmd_analyze(args) -> int:
             report.set_section("generator_bounds", {"error": str(exc)})
             code = EXIT_SDP
         else:
-            for name in ("f_min", "p_min", "rg_min", "lrg_min", "er_min"):
-                bv = getattr(rep, name)
-                report.add("generator_bounds", name, bv.value, "generator-bound",
-                           sigma=bv.sigma)
+            report.set_section("generator_bounds", rep.to_json_dict())
 
     if partitions:
         code = _run_sdp(report, state, record.graph, record.frame,

@@ -9,12 +9,15 @@ Dual:  max -sum_T tr(Y_T rho^Gamma_T)  s.t.  Y_T >= 0, sum_T Y_T^Gamma_T <= I.
 Every returned solution carries a rescaled dual certificate that is verified
 post-hoc from the returned primal and dual points alone, never from solver
 slacks, so the reported duality gap is a rigorous bound regardless of solver
-internals.  Each path computes the spectra and the dual bound in its own
-representation; one policy, ``_solution``, then checks them against
-``PSD_FLOOR`` and ``GAP_BOUND`` and builds every ``SdpSolution``, the
-trivial one (sigma = 0 for a state that is PPT on every cut) included.
-Each path's constraint is one ``solve_conic`` block, and ``dense_newton``
-solves its Schur matrix.
+internals.  Each path's constraint is one ``solve_conic`` block, and
+``dense_newton`` solves its Schur matrix.  Next to ``slack``, ``apply``,
+``adjoint`` and ``factor`` the block supplies its cone's three certificate
+primitives: ``spectra`` (the smallest eigenvalue of each part), ``clip``
+(each part projected onto its cone) and ``dual_max`` (the largest
+eigenvalue of sum_T Y_T^Gamma_T).  Both paths end in one routine,
+``_robustness``, which solves (or, for a state that is PPT on every cut,
+takes sigma = 0 with a zero dual) and certifies with ``_certify``: one
+check against ``PSD_FLOOR`` and ``GAP_BOUND`` for every ``SdpSolution``.
 
 Two paths, each over the given bipartitions or, for None, all of them:
   * ``ppt_robustness(rho, partitions)``: dense sigma, capped at 5 qubits.
@@ -28,8 +31,8 @@ Two paths, each over the given bipartitions or, for None, all of them:
     adjoint are each one scatter or gather, and its Schur term comes from
     rows of one Khatri-Rao product of two column takes of each scaling
     matrix, summed over the stack, as in the sparse Schur assembly of
-    Fujisawa, Kojima and Nakata, Math. Program. 79 (1997).  Certified by
-    fresh complex eigensolves of the block's own maps, one per check.
+    Fujisawa, Kojima and Nakata, Math. Program. 79 (1997).  Its certificate
+    primitives are fresh stacked complex eigensolves.
   * ``symmetry_reduced_robustness``: for graph-diagonal rho the optimum may
     be sought among graph-diagonal sigma (stabilizer twirling preserves
     feasibility and the objective), where every partial transpose is again
@@ -43,11 +46,11 @@ Two paths, each over the given bipartitions or, for None, all of them:
 
     The LP is posed in u = H x: the objective tr(sigma) is u_0, each cut's
     slack is M_T p + H (eps_T * u) / 2^n, and x >= 0 is the row T = {}
-    (eps = 1, offset 0) of the same orthant block.  Feasibility and the
-    rescaled dual bound are checked entrywise on vectors; no dense operator
-    is built unless a caller reads ``SdpSolution.sigma`` or
-    ``.dual_certificate``; the certificate takes its spectra from the
-    block's own Walsh maps.
+    (eps = 1, offset 0) of the same orthant block.  Its certificate
+    primitives work entrywise on these rows: a spectrum's minimum is a row
+    minimum and the dual bound one more Walsh transform, so no eigensolve
+    runs and no dense operator is built unless a caller reads
+    ``SdpSolution.sigma`` or ``.dual_certificate``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .operators import (
     eig_hermitian,
     graph_diagonal_operator,
     partial_transpose,
-    trace_inner,
 )
 from .pauli import Graph, LocalFrame, StabilizerCodec
 from .reconstruct import GraphDiagonalState, state_p
@@ -320,21 +322,45 @@ class PptBlock:
     def factor(self, W):
         return dense_newton(self.schur(W))
 
+    def spectra(self, S):
+        """The smallest eigenvalue of each part of a (k, d, d) stack S."""
+        return eig_hermitian(S)[0][:, 0]
 
-def _solution(value, sigma_min, cut_mins, dual_value, partitions, iterations,
-              method, operators) -> SdpSolution:
-    """The certificate policy that every returned solution passes.
+    def clip(self, Z):
+        """Each part of a (k, d, d) stack Z projected onto the PSD cone."""
+        w, V = eig_hermitian(Z)
+        return (V * np.clip(w, 0.0, None)[:, None, :]) @ V.conj().swapaxes(1, 2)
 
-    sigma_min and cut_mins (one per partition) are the smallest eigenvalues
-    of sigma and of each (rho + sigma)^Gamma_T, and dual_value the rescaled
-    dual bound, all freshly computed by the caller (``_certify``,
-    ``_certify_weights``); none may come from solver slacks.  Each eigenvalue
-    must reach ``PSD_FLOOR`` and the certified gap value - dual_value must lie
-    within ``GAP_BOUND``; a NaN fails every check.
+    def dual_max(self, Y):
+        """The largest eigenvalue of sum_T Y_T^Gamma_T."""
+        d = self.offset.shape[1]
+        return float(eig_hermitian(self._transposed_sum(Y).reshape(d, d))[0][-1])
+
+
+def _certify(block, x, dual, partitions, iterations, method, operators) -> SdpSolution:
+    """The certificate that every returned solution passes, recomputed from
+    x and dual through the block's own maps, never from solver slacks.
+
+    sigma and every (rho + sigma)^Gamma_T are the parts of block.slack(x),
+    every rho^Gamma_T a part of block.offset.  The cut parts Y_T of dual are
+    clipped to their cone and rescaled so that sum_T Y_T^Gamma_T <= I holds
+    exactly: a rigorous dual bound.  Each smallest eigenvalue must reach
+    ``PSD_FLOOR`` and the certified gap value - dual_value lie within
+    ``GAP_BOUND``; a NaN fails every check.  operators(sigma part,
+    certificate parts) builds the dense sigma and [Y_T] when first read.
     """
+    S = block.slack(x).reshape(block.offset.shape)
+    mins = block.spectra(S)
+    Y = block.clip(np.reshape(dual, block.offset.shape))
+    Y[0] = 0.0  # part T = () is sigma >= 0, not a cut
+    certificate = Y[1:] / (1.0 + max(0.0, block.dual_max(Y) - 1.0))
+    # 0.0 - v, not -v, so that a zero bound prints as 0 and not as -0
+    dual_value = 0.0 - float(np.vdot(certificate, block.offset[1:]).real)
+    value = float(np.trace(S[0]).real if S.ndim == 3 else S[0].sum())
+    sigma_min = float(mins[0])
     if not sigma_min >= PSD_FLOOR:
         raise SdpConvergenceError(f"sigma not PSD ({sigma_min:.3e})")
-    min_eigs = dict(zip(partitions, cut_mins))
+    min_eigs = dict(zip(partitions, mins[1:].tolist()))
     for part, w in min_eigs.items():
         if not w >= PSD_FLOOR:
             raise SdpConvergenceError(f"(rho+sigma)^Gamma not PSD on {part} ({w:.3e})")
@@ -350,47 +376,24 @@ def _solution(value, sigma_min, cut_mins, dual_value, partitions, iterations,
         sigma_min_eig=sigma_min,
         iterations=iterations,
         method=method,
-        operators=operators,
+        operators=partial(operators, S[0], certificate),
     )
 
 
-def _certify(block, x, dual, partitions, iterations) -> SdpSolution:
-    """The dense path's spectra and dual bound, by fresh eigensolves.
+def _robustness(block, c, identity, partitions, method, operators) -> SdpSolution:
+    """Minimize c'x (tr sigma) over the block and certify the result.
 
-    All are recomputed from the returned x and dual through the block's own
-    maps, never taken from solver slacks: sigma and every (rho + sigma)^Gamma_T
-    are the stack block.slack(x), every rho^Gamma_T is block.offset, and
-    sum_T Y_T^Gamma_T is the sum over parts that ``PptBlock.adjoint`` takes.
-    The cut rows Y_T of dual (Hermitian up to roundoff) are clipped to the PSD
-    cone and rescaled so sum Y_T^Gamma_T <= I holds exactly: a rigorous dual
-    bound.  Each check is one stacked eigh.
+    A state that is PPT on every cut has the optimum sigma = 0, certified
+    at x = 0 with a zero dual.  Otherwise the solve starts at sigma = t0 I,
+    identity being the coordinates of I, with t0 beyond every rho^Gamma_T's
+    negative part, so that the start is strictly feasible.
     """
-    d = block.offset.shape[1]
-    w, V = eig_hermitian(dual)
-    clipped = (V * np.clip(w, 0.0, None)[:, None, :]) @ V.conj().swapaxes(1, 2)
-    clipped[0] = 0.0  # part T = () is sigma >= 0, not a cut
-    we, _ = eig_hermitian(np.eye(d) - block._transposed_sum(clipped).reshape(d, d))
-    theta = max(0.0, -float(we[0]))
-    certificate = list((1.0 / (1.0 + theta)) * clipped[1:])
-    dual_value = -sum(trace_inner(Y, R) for Y, R in zip(certificate, block.offset[1:]))
-    S = block.slack(x)
-    mins = eig_hermitian(S)[0][:, 0]
-    sigma = S[0].astype(np.complex128)
-    return _solution(
-        float(np.trace(sigma).real), float(mins[0]), mins[1:].tolist(), dual_value,
-        partitions, iterations, "dense", lambda: (sigma, certificate),
-    )
-
-
-def _zero_operators(d, count):
-    return (np.zeros((d, d), dtype=np.complex128),
-            [np.zeros((d, d), dtype=np.complex128) for _ in range(count)])
-
-
-def _trivial_solution(d, partitions, min_eigs, method):
-    """sigma = 0 for a state that is PPT on every cut: value and bound 0."""
-    return _solution(0.0, 0.0, min_eigs, 0.0, partitions, 0, method,
-                     partial(_zero_operators, d, len(partitions)))
+    low = float(block.spectra(block.offset)[1:].min())  # rho^Gamma_T
+    if low >= -1e-12:
+        return _certify(block, np.zeros(c.size), np.zeros_like(block.offset),
+                        partitions, 0, method, operators)
+    res = solve_conic(c, block, (0.5 - 2.0 * low) * identity)
+    return _certify(block, res.x, res.dual, partitions, res.iterations, method, operators)
 
 
 def ppt_robustness(rho, partitions=None) -> SdpSolution:
@@ -405,15 +408,10 @@ def ppt_robustness(rho, partitions=None) -> SdpSolution:
     _check_density(rho)
     partitions = canonical_partitions(n, partitions)
     block = PptBlock(rho, partitions)
-    pt_eigs = eig_hermitian(block.offset[1:])[0][:, 0].tolist()  # rho^Gamma_T
-    if min(pt_eigs) >= -1e-12:
-        return _trivial_solution(d, partitions, pt_eigs, "dense")
-
     c = np.zeros(block.scale.size)
     c[:d] = 1.0  # tr(sigma): the diagonal coordinates come first
-    x0 = (0.5 + 2.0 * max(0.0, -min(pt_eigs))) * c  # sigma starts at t0 * identity
-    res = solve_conic(c, block, x0)
-    return _certify(block, res.x, res.dual, partitions, res.iterations)
+    return _robustness(block, c, c, partitions, "dense",
+                       lambda sigma, Y: (sigma.astype(np.complex128), list(Y)))
 
 
 # ----------------------------------------------------------------------
@@ -443,9 +441,11 @@ def _cut_masks(graph: Graph, frame: LocalFrame, partitions):
 class CutBlock:
     """The LP's one orthant block, in u = H x for sigma's weights x: row T is
     M_T p + H (eps_T * u) / 2^n = spectrum of (rho + sigma)^Gamma_T, and row 0
-    is T = {} (eps = 1, offset 0), which is x itself.  Applied by one Walsh
-    transform per row; no M_T is ever formed.  ``factor`` solves with the
-    matrix of ``schur`` through ``dense_newton``.
+    is T = {} (eps = 1, offset 0), which is x itself.  ``offset`` holds the
+    rows M_T p (the spectra of rho^Gamma_T) as a (rows, 2^n) array; the slack
+    and every map's image are flat, the solver's orthant.  Applied by one
+    Walsh transform per row; no M_T is ever formed.  ``factor`` solves with
+    the matrix of ``schur`` through ``dense_newton``.
 
     ymask holds the Y-factor mask of each stabilizer element, tmask the qubit
     mask of each partition (see ``_cut_masks``), p the weights of rho.
@@ -459,11 +459,11 @@ class CutBlock:
         self._chars = _parity_signs(tmask, idx)
         self._gather = ((ymask[:, None] ^ ymask[None, :]) * dim
                         + (idx[:, None] ^ idx[None, :]))
-        self.g0 = self.apply(kernels.fwht(p))
-        self.g0[:dim] = 0.0  # row T = {}: offset 0
+        self.offset = self.apply(kernels.fwht(p)).reshape(self.signs.shape)
+        self.offset[0] = 0.0  # row T = {}: offset 0
 
     def slack(self, u):
-        return self.g0 + self.apply(u)
+        return self.offset.ravel() + self.apply(u)
 
     def apply(self, du):
         return kernels.fwht(self.signs * du).ravel() / du.size
@@ -488,36 +488,23 @@ class CutBlock:
     def factor(self, d):
         return dense_newton(self.schur(d))
 
+    def spectra(self, S):
+        """The smallest entry of each row of S, the spectrum of its part."""
+        return S.min(axis=1)
+
+    def clip(self, z):
+        """Each entry of z projected onto the nonnegative orthant."""
+        return np.maximum(z, 0.0)
+
+    def dual_max(self, y):
+        """The largest eigenvalue of sum_T Y_T^Gamma_T for the graph-diagonal
+        Y_T with weights y_T: its spectrum is sum_T M_T y_T = H adjoint(y)."""
+        return float(kernels.fwht(self.adjoint(y)).max())
+
 
 def _graph_diagonal_operators(sigma_weights, certificate_weights, graph, frame):
     return (graph_diagonal_operator(sigma_weights, graph, frame),
             [graph_diagonal_operator(y, graph, frame) for y in certificate_weights])
-
-
-def _certify_weights(p, q, raw_multipliers, cuts, partitions, iterations,
-                     graph, frame) -> SdpSolution:
-    """Diagonal counterpart of ``_certify`` on graph-basis weight vectors.
-
-    rho, sigma and every Y_T are graph-diagonal with weights p, q and the
-    cut rows of the dual raw_multipliers, so each spectrum below is exact:
-    sigma's is q, (rho + sigma)^Gamma_T's is M_T (p + q) = row T of
-    cuts.apply(H (p + q)), and (sum_T Y_T^Gamma_T)'s is sum_T M_T y_T =
-    H cuts.adjoint(y) with y = 0 on row T = {}.  All are recomputed from p, q
-    and y_T, never from solver slacks.  The y_T are clipped at 0 and rescaled
-    so the dual constraint sum_T Y_T^Gamma_T <= I holds, as in ``_certify``.
-    """
-    rows = cuts.signs.shape
-    clipped = np.maximum(raw_multipliers.reshape(rows), 0.0)
-    clipped[0] = 0.0  # row T = {} is sigma >= 0, not a cut
-    theta = max(0.0, float(kernels.fwht(cuts.adjoint(clipped)).max()) - 1.0)
-    certificate = clipped[1:] / (1.0 + theta)
-    dual_value = -float(np.sum(certificate * cuts.g0.reshape(rows)[1:]))
-    spectra = cuts.apply(kernels.fwht(p + q)).reshape(rows)[1:]
-    return _solution(
-        float(q.sum()), float(q.min()), [float(w.min()) for w in spectra], dual_value,
-        partitions, iterations, "reduced",
-        partial(_graph_diagonal_operators, q, list(certificate), graph, frame),
-    )
 
 
 def symmetry_reduced_robustness(
@@ -544,17 +531,8 @@ def symmetry_reduced_robustness(
     check_solver_size(n, "reduced")
     frame = frame or LocalFrame.identity(n)
     partitions = canonical_partitions(n, partitions)
-    D = 1 << n
-    cuts = CutBlock(*_cut_masks(graph, frame, partitions), p)
-    offsets = cuts.g0.reshape(cuts.signs.shape)[1:]  # row T: spectrum of rho^Gamma_T
-    low = float(offsets.min())
-    if low >= -1e-12:
-        return _trivial_solution(D, partitions, [float(b.min()) for b in offsets], "reduced")
-
-    c = np.zeros(D)
-    c[0] = 1.0  # tr(sigma) = sum(x) = u_0; x0 = t0 * ones is u0 = D t0 e_0
-    u0 = D * (0.5 + 2.0 * max(0.0, -low)) * c
-    res = solve_conic(c, cuts, u0)
-    x = kernels.fwht(res.x) / D
-    return _certify_weights(p, np.maximum(x, 0.0), res.dual, cuts, partitions,
-                            res.iterations, graph, frame)
+    c = np.zeros(1 << n)
+    c[0] = 1.0  # tr(sigma) = sum(x) = u_0, and sigma = I is u = H ones = 2^n e_0
+    return _robustness(CutBlock(*_cut_masks(graph, frame, partitions), p), c, c.size * c,
+                       partitions, "reduced",
+                       partial(_graph_diagonal_operators, graph=graph, frame=frame))

@@ -281,6 +281,17 @@ class TestRobustnessCommand:
         assert code == 0
         assert rep["sdp"]["value"]["value"] == 0.0
 
+    @pytest.mark.parametrize("method", ["reduced", "dense"])
+    def test_ppt_state_prints_positive_zeros(self, tmp_path, capsys, method):
+        # sigma = 0 is certified with a zero dual; no number may print as -0
+        f = self.write_state(tmp_path, 2, [[1, 2]], [0.25] * 4)
+        code, rep, _ = run_json(capsys, "robustness", f, "--method", method)
+        sdp = rep["sdp"]
+        assert code == 0 and sdp["iterations"] == 0
+        for v in (sdp["value"]["value"], sdp["duality_gap"], sdp["dual_value"],
+                  sdp["sigma_min_eig"]):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
     def test_dense_method_agrees(self, tmp_path, capsys):
         f = self.write_state(tmp_path, 2, [[1, 2]], [0.8, 0.1, 0.06, 0.04])
         code, rep_r, _ = run_json(capsys, "robustness", f)

@@ -663,7 +663,7 @@ class TestBellOracle:
         assert abs(recomputed - sol.dual_value) < 1e-10
 
 
-def _tamper(check, method):
+def _tamper(check):
     """solve_conic with its returned iterate spoiled so that one certificate
     check must refuse it."""
     real = solve_conic
@@ -671,9 +671,7 @@ def _tamper(check, method):
     def tampered(c, block, x0):
         res = real(c, block, x0)
         if check == "sigma":
-            # dense: sigma - 1e-3 I.  The reduced path clips negative weights
-            # at 0, so there only a NaN weight is a sigma that is not PSD.
-            res.x = res.x - (1e-3 if method == "dense" else np.nan) * c
+            res.x = res.x - 1e-3 * c  # sigma minus a multiple of I: not PSD
         elif check == "cut":
             res.x = 0.5 * res.x  # half the optimal sigma leaves the cut NPT
         else:
@@ -692,7 +690,7 @@ def _tamper(check, method):
 def test_certificate_refuses_a_tampered_iterate(monkeypatch, method, check, message):
     import stabverify.sdp as sdp
 
-    monkeypatch.setattr(sdp, "solve_conic", _tamper(check, method))
+    monkeypatch.setattr(sdp, "solve_conic", _tamper(check))
     with pytest.raises(SdpConvergenceError, match=message):
         if method == "dense":
             ppt_robustness(bell_density(), [[1]])

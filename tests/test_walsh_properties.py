@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import graphs_and_frames
 from stabverify import graph_diagonal_operator, partial_transpose
 from stabverify.kernels import fwht
-from stabverify.sdp import CutBlock, _cut_masks, all_bipartitions
+from stabverify.sdp import CutBlock, PptBlock, _cut_masks, all_bipartitions
 from oracles import stabilizer_group, transformed_generators
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -60,7 +60,7 @@ def test_cut_spectrum_matches_dense_partial_transpose(data):
     partitions = all_bipartitions(graph.n)
     block = CutBlock(*_cut_masks(graph, frame, partitions), v)
     rho = graph_diagonal_operator(v, graph, frame)
-    offsets = block.g0.reshape(1 + len(partitions), -1)
+    offsets = block.offset
     assert np.array_equal(offsets[0], np.zeros(1 << graph.n))  # row T = {}: x >= 0
     for part, spectrum in zip(partitions, offsets[1:]):
         dense = np.linalg.eigvalsh(partial_transpose(rho, part))
@@ -71,7 +71,7 @@ def test_cut_spectrum_matches_dense_partial_transpose(data):
 @given(data=st.data())
 def test_cut_block_matches_dense_products(data):
     # the block acts on u = H x; row T = {} has M = I and offset 0, so with
-    # A_T = M_T H / 2^n its rows are g0_T + A_T u = M_T p + M_T x and x
+    # A_T = M_T H / 2^n its rows are offset_T + A_T u = M_T p + M_T x and x
     graph, frame = data.draw(graphs_and_frames(max_n=4))
     n, dim = graph.n, 1 << graph.n
     partitions = all_bipartitions(n)
@@ -86,7 +86,7 @@ def test_cut_block_matches_dense_products(data):
     lifts = [M @ walsh / dim for M in mats]
 
     offsets = np.concatenate([np.zeros(dim)] + [M @ p for M in mats[1:]])
-    assert np.allclose(block.g0, offsets, rtol=0, atol=1e-12)
+    assert np.allclose(block.offset.ravel(), offsets, rtol=0, atol=1e-12)
     u = fwht(x)
     assert np.allclose(block.apply(u), np.concatenate([M @ x for M in mats]),
                        rtol=0, atol=1e-12)
@@ -96,6 +96,29 @@ def test_cut_block_matches_dense_products(data):
     ds = d.reshape(rows, dim)
     schur = sum(A.T @ (dt[:, None] * A) for A, dt in zip(lifts, ds))
     assert np.allclose(block.schur(d), schur, rtol=0, atol=1e-12 * np.abs(d).max())
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_cut_block_certificate_primitives_match_the_dense_block(data):
+    # the LP block's spectra and dual bound are those of the dense PSD stack
+    # of the same graph-diagonal operators, part by part
+    graph, frame = data.draw(graphs_and_frames(max_n=3))
+    n, dim = graph.n, 1 << graph.n
+    partitions = all_bipartitions(n)
+    rows = 1 + len(partitions)
+    p = data.draw(weights(n))
+    y = data.draw(arrays(np.float64, (rows, dim), elements=st.floats(0.0, 1.0)))
+    cuts = CutBlock(*_cut_masks(graph, frame, partitions), p)
+    dense = PptBlock(graph_diagonal_operator(p, graph, frame), partitions)
+    assert np.allclose(cuts.spectra(cuts.offset), dense.spectra(dense.offset),
+                       rtol=0, atol=1e-10)
+    Y = np.stack([graph_diagonal_operator(w, graph, frame) for w in y])
+    for t in [*range(rows), slice(None)]:  # each part alone, then their sum
+        mask = np.zeros(rows)
+        mask[t] = 1.0
+        assert abs(cuts.dual_max(mask[:, None] * y)
+                   - dense.dual_max(mask[:, None, None] * Y)) <= 1e-10
 
 
 @PROPERTY_SETTINGS
