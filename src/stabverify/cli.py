@@ -314,10 +314,7 @@ def _run_sdp(report: Report, state: GraphDiagonalState | None, graph, frame,
             section["best_gap"] = exc.result.gap
         report.set_section("sdp", section)
         return EXIT_SDP, partitions
-    payload = sol.to_json_dict()
-    payload["value"] = {"value": sol.value, "provenance": "sdp"}
-    payload["provenance"] = "sdp"  # applies to every number in this section
-    report.set_section("sdp", payload)
+    report.set_section("sdp", sol.to_json_dict())
     return EXIT_OK, partitions
 
 

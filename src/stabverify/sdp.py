@@ -32,7 +32,8 @@ Two paths, each over the given bipartitions or, for None, all of them:
     rows of one Khatri-Rao product of two column takes of each scaling
     matrix, summed over the stack, as in the sparse Schur assembly of
     Fujisawa, Kojima and Nakata, Math. Program. 79 (1997).  Its certificate
-    primitives are fresh stacked complex eigensolves.
+    primitives are stacked LAPACK eigensolves, of eigenvalues only except in
+    ``clip``.
   * ``symmetry_reduced_robustness``: for graph-diagonal rho the optimum may
     be sought among graph-diagonal sigma (stabilizer twirling preserves
     feasibility and the objective), where every partial transpose is again
@@ -63,6 +64,7 @@ import numpy as np
 
 from . import kernels
 from .operators import (
+    check_hermitian,
     eig_hermitian,
     graph_diagonal_operator,
     partial_transpose,
@@ -147,8 +149,9 @@ class SdpSolution:
         return self._dense[1]
 
     def to_json_dict(self) -> dict:
+        """The report's sdp section; its provenance covers every number in it."""
         return {
-            "value": self.value,
+            "value": {"value": self.value, "provenance": "sdp"},
             "duality_gap": self.duality_gap,
             "dual_value": self.dual_value,
             "method": self.method,
@@ -158,21 +161,21 @@ class SdpSolution:
             "partial_transpose_min_eigs": {
                 ",".join(map(str, t)): v for t, v in self.min_eigs.items()
             },
+            "provenance": "sdp",
         }
 
 
 def ppt_min_eig(rho: np.ndarray, partition) -> float:
     """Minimum eigenvalue of rho^Gamma over the given qubit subset."""
-    w, _ = eig_hermitian(partial_transpose(rho, partition))
-    return float(w[0])
+    return float(np.linalg.eigvalsh(check_hermitian(partial_transpose(rho, partition), 1e-10))[0])
 
 
 def _check_density(rho: np.ndarray):
     if not np.isfinite(rho).all():
         raise ValueError("rho has entries that are not finite numbers")
-    w, _ = eig_hermitian(rho)
-    if w[0] < -1e-9:
-        raise ValueError(f"rho is not PSD (min eigenvalue {w[0]:.3e})")
+    low = np.linalg.eigvalsh(check_hermitian(rho, 1e-10))[0]
+    if low < -1e-9:
+        raise ValueError(f"rho is not PSD (min eigenvalue {low:.3e})")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"rho has trace {tr!r}, expected 1")
@@ -227,8 +230,11 @@ class PptBlock:
     with the transpose): M^Gamma_T = M.ravel()[perm[T]], and ``rows``,
     ``cols`` hold the row and column of the position x of each entry pair in
     each part.  So the offsets, every map and the certificate's partial
-    transposes are scatters or gathers on d x d matrices and no basis matrix
-    is formed; ``factor`` solves with the matrix of ``schur`` (``dense_newton``).
+    transposes are scatters or gathers on d x d matrices (sum_T Z_T^Gamma_T
+    is one flat ``gather`` of the stack) and no basis matrix is formed.
+    ``schur`` assembles in work arrays of the stack's dtype, allocated once
+    here, and returns a new matrix on each call, which ``factor`` hands to
+    ``dense_newton`` to own and overwrite.
     """
 
     def __init__(self, rho, partitions):
@@ -241,6 +247,9 @@ class PptBlock:
         self.rows, self.cols = np.divmod(self.perm[:, self.base[:, 0]], d)
         self.offset = (rho.real if real else rho).ravel()[self.perm].reshape(len(parts), d, d)
         self.offset[0] = 0.0
+        k, u = self.rows.shape
+        self.gather = self.perm + d * d * np.arange(k)[:, None]
+        self.work = tuple(np.empty(s, self.offset.dtype) for s in [(u, u)] * 4 + [(d, u)] * 2)
 
     def hermitian(self, x):
         """sigma = sum_i x_i B_i as a d x d matrix of the stack's dtype."""
@@ -261,8 +270,7 @@ class PptBlock:
 
     def _transposed_sum(self, Z):
         """sum_T Z_T^Gamma_T, flat, for any (k, d, d) stack Z."""
-        z = np.reshape(Z, self.perm.shape)
-        return np.take_along_axis(z, self.perm, axis=1).sum(axis=0)
+        return np.take(Z, self.gather).sum(axis=0)
 
     def adjoint(self, Z):
         """sum_T Re tr(B_i^Gamma_T Z_T) for each i; Z is any (k, d, d) stack.
@@ -300,9 +308,10 @@ class PptBlock:
         once from the sums.  The real symmetric coordinates (real W) need
         Re P alone; Q is never formed.
         """
-        u, d = self.rows.shape[1], W.shape[1]
-        kxy, kxs, g, h = (np.zeros((u, u), W.dtype) for _ in range(4))
-        wa, wb = np.empty((d, u), W.dtype), np.empty((d, u), W.dtype)
+        d = W.shape[1]
+        kxy, kxs, g, h, wa, wb = self.work
+        kxy.fill(0.0)
+        kxs.fill(0.0)
         for w, a, b in zip(W, self.rows, self.cols):
             # mode="clip" lets take write straight into out (indices are in range)
             w.take(a, axis=1, out=wa, mode="clip")
@@ -324,7 +333,7 @@ class PptBlock:
 
     def spectra(self, S):
         """The smallest eigenvalue of each part of a (k, d, d) stack S."""
-        return eig_hermitian(S)[0][:, 0]
+        return np.linalg.eigvalsh(S)[:, 0]
 
     def clip(self, Z):
         """Each part of a (k, d, d) stack Z projected onto the PSD cone."""
@@ -334,7 +343,7 @@ class PptBlock:
     def dual_max(self, Y):
         """The largest eigenvalue of sum_T Y_T^Gamma_T."""
         d = self.offset.shape[1]
-        return float(eig_hermitian(self._transposed_sum(Y).reshape(d, d))[0][-1])
+        return float(np.linalg.eigvalsh(self._transposed_sum(Y).reshape(d, d))[-1])
 
 
 def _certify(block, x, dual, partitions, iterations, method, operators) -> SdpSolution:

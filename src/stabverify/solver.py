@@ -30,11 +30,13 @@ on an orthant.  A failed scaling, Newton factorization or step-length
 eigensolve raises SdpConvergenceError with the best iterate.
 Iterates are rebound, never updated in place, so none is copied.
 
-The dual starts at 1 on each orthant entry and at 2 I on each d x d matrix,
-with d barrier terms per matrix: the identity start of the same program
-posed over real symmetric 2d x 2d embeddings, so both give the same iterates.
-Step control: fraction-to-boundary ``STEP_FRAC``, at most 200 steps by
-default, relative complementarity-gap and dual-residual target ``GAP_TOL``.
+The dual starts at s times the unit start (1 on each orthant entry, 2 I on
+each d x d matrix, which counts d barrier terms), s = c'a / a'a with
+a = adjoint(unit): the multiple nearest dual feasibility.  If c'a <= 0 it
+keeps the unit start.  On both of ``sdp``'s blocks a is a multiple of c, so
+the start is dual feasible.  Step control: fraction-to-boundary
+``STEP_FRAC``, at most 200 steps by default, relative complementarity-gap
+and dual-residual target ``GAP_TOL``.
 Every iterate, the start and the one after the last step included, is
 tested for convergence and kept if it is the best so far.
 """
@@ -117,6 +119,9 @@ def solve_conic(c: np.ndarray, block, x0: np.ndarray, max_iter: int = 200) -> Ip
     S = block.slack(x)
     psd = S.ndim == 3
     Z = _diag(np.full(S.shape[:2], 2.0)) if psd else np.ones(S.size)
+    a = block.adjoint(Z)
+    if c @ a > 0.0:  # the multiple of the unit start nearest dual feasibility
+        Z = (c @ a) / (a @ a) * Z
     nu = S.shape[0] * S.shape[1] if psd else S.size  # barrier parameter
     rd_tol = GAP_TOL * (1.0 + np.linalg.norm(c, np.inf))
     best = None  # (gap + dual residual, then the IpmResult fields of the best iterate)

@@ -292,6 +292,18 @@ class TestRobustnessCommand:
                   sdp["sigma_min_eig"]):
             assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
+    def test_sdp_section_is_the_solution_json(self, tmp_path, capsys):
+        # one serializer: the section is SdpSolution.to_json_dict() as it
+        # stands, with value a leaf that names its provenance
+        p = [0.8, 0.1, 0.06, 0.04]
+        f = self.write_state(tmp_path, 2, [[1, 2]], p)
+        code, rep, _ = run_json(capsys, "robustness", f)
+        sol = stabverify.symmetry_reduced_robustness(np.array(p), stabverify.Graph.path(2))
+        assert code == 0
+        assert list(rep["sdp"].items()) == list(json.loads(json.dumps(sol.to_json_dict())).items())
+        assert sol.to_json_dict()["value"] == {"value": sol.value, "provenance": "sdp"}
+        assert rep["sdp"]["provenance"] == "sdp"
+
     def test_dense_method_agrees(self, tmp_path, capsys):
         f = self.write_state(tmp_path, 2, [[1, 2]], [0.8, 0.1, 0.06, 0.04])
         code, rep_r, _ = run_json(capsys, "robustness", f)
@@ -373,7 +385,7 @@ class TestRobustnessCommand:
         import stabverify.solver as solver
 
         monkeypatch.setattr(solver, "STEP_FRAC", 2.0)
-        f = self.write_state(tmp_path, 2, [[1, 2]], [1.0, 0.0, 0.0, 0.0])
+        f = self.write_state(tmp_path, 2, [[1, 2]], [0.9, 0.1, 0.0, 0.0])
         code, out, err = run_cli(capsys, "robustness", f, "--method", "dense",
                                  "--format", "json")
         assert code == 3

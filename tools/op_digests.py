@@ -9,9 +9,12 @@ by ``pipebench/workloads.py`` of this checkout into a temporary directory, and
 each operation runs through ``stabverify.cli.main`` in-process, with BLAS on
 one thread.  One line per operation:
 
-    workload seed label exit_code sha256(stdout) sha256(stderr)
+    workload seed label exit_code sha256(stdout) sha256(stderr) [iterations value duality_gap]
 
-with the input directory replaced by ``<inputs>`` before hashing.  Two
+with the input directory replaced by ``<inputs>`` before hashing.  A
+``robustness`` operation adds the ``iterations``, ``value`` and
+``duality_gap`` of its report's sdp section (``-`` for a field it lacks),
+so a change that moves the solver's iterates shows by how much.  Two
 versions of the program give the same bytes on every operation exactly when
 ``diff`` of their outputs is empty, e.g. with a ``git archive`` of the parent
 unpacked next to the change:
@@ -24,6 +27,7 @@ unpacked next to the change:
 import argparse
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -40,6 +44,18 @@ PIPEBENCH = Path(__file__).resolve().parent.parent / "pipebench"
 
 def _digest(text: str, inputs: str) -> str:
     return hashlib.sha256(text.replace(inputs, "<inputs>").encode()).hexdigest()
+
+
+def _solve_fields(argv, stdout: str) -> list:
+    """iterations, value and duality_gap of a robustness report, as text."""
+    if argv[0] != "robustness":
+        return []
+    try:
+        sdp = json.loads(stdout)["sdp"]
+    except (ValueError, KeyError):
+        sdp = {}
+    fields = (sdp.get("iterations"), sdp.get("value", {}).get("value"), sdp.get("duality_gap"))
+    return ["-" if v is None else repr(v) for v in fields]
 
 
 def main(argv=None) -> int:
@@ -70,7 +86,8 @@ def main(argv=None) -> int:
                         code = None
                         err.write(traceback.format_exc())
                     print(name, seed, op.label, code, _digest(out.getvalue(), inputs),
-                          _digest(err.getvalue(), inputs), flush=True)
+                          _digest(err.getvalue(), inputs),
+                          *_solve_fields(op.argv, out.getvalue()), flush=True)
     return 0
 
 
