@@ -168,8 +168,11 @@ def purity_min_solution(a, n: int | None = None) -> PurityQpSolution:
 
 def _purity(f, n: int):
     f = np.maximum(f, 0.5 ** n)
-    # (1 - f)^2 / (2^n - 1) with the 2^-n applied last, so nothing overflows
-    return f * f + np.ldexp((1.0 - f) ** 2 / (1.0 - 0.5 ** n), -n)
+    # (1 - f)^2 / (2^n - 1) with the 2^-n applied last, so nothing overflows;
+    # squared as a product, since a scalar's ** 2 goes through pow() and can
+    # differ in the last bit from an array's
+    u = 1.0 - f
+    return f * f + np.ldexp(u * u / (1.0 - 0.5 ** n), -n)
 
 
 def purity_min(a, n: int | None = None):

@@ -6,7 +6,8 @@ Kernels:
                    over small Sylvester Hadamard factors
   simplex_project  Euclidean projection onto the probability simplex
   pg_fit           weighted least squares on the simplex by accelerated
-                   projected gradient (FISTA with adaptive restart)
+                   projected gradient (FISTA with adaptive restart), ended
+                   by a conjugate-gradient solve on the optimal face
 
 Every Hermitian eigensolve goes to LAPACK through ``np.linalg.eigh``.
 """
@@ -112,6 +113,55 @@ def simplex_project(y):
 # Momentum restarts (t = 1) whenever the step turns against the momentum,
 # (y - p_new).(p_new - p) > 0 (O'Donoghue & Candes 2015), which stops the
 # iterates oscillating about the minimizer once momentum builds up.
+#
+# The optimum is sparse (most populations of a noisy record fit to exactly 0),
+# and FISTA finds its support long before it has polished the values there.
+# So whenever the support F of p equals that of the KKT projection
+# P(p - g), and F has not been tried before, the fit solves the quadratic on
+# the face {q : q = 0 off F, sum q = 1} exactly, by conjugate gradients on
+# the Hessian H diag(2w) H (two fwht per step, no matrix).  The candidate
+# ends the fit only if it is >= 0 and passes the same KKT test as the
+# iterates; otherwise FISTA goes on from its own iterate, untouched.
+
+
+def _face_solve(p, g, face, hess_w, tol):
+    """Minimizer of the quadratic on the face of p, from p with gradient g.
+
+    Projected CG on {q_F : sum q_F = 1}: each residual and product has its
+    mean removed, so the iterates keep their sum.  It stops when the
+    residual's max falls to tol / 10, when it stops falling (CG passes a
+    rounding floor and then diverges), on a direction without positive
+    curvature, or after |F| steps.  On a noisy record the face Hessian is
+    well conditioned (condition number about 3 at 10 qubits), so there is no
+    preconditioner.  Returns the candidate, 0 off the face.
+    """
+    x = p[face]
+    r = -g[face]
+    r -= r.mean()
+    s = r
+    rr = r @ r
+    res = np.abs(r).max()
+    u = np.zeros(p.size)
+    for _ in range(x.size):
+        if res <= 0.1 * tol:
+            break
+        u[face] = s
+        a = fwht(hess_w * fwht(u))[face]
+        a -= a.mean()
+        curv = s @ a
+        if not curv > 0.0:  # a flat direction: unmeasured rows leave H singular
+            break
+        alpha = rr / curv
+        r_next = r - alpha * a
+        res_next = np.abs(r_next).max()
+        if not res_next < res:
+            break
+        x = x + alpha * s
+        r, res = r_next, res_next
+        rr, rr_prev = r @ r, rr
+        s = r + (rr / rr_prev) * s
+    u[face] = x
+    return u
 
 
 def pg_fit(idx, values, weights, p0, max_iter, tol):
@@ -119,19 +169,38 @@ def pg_fit(idx, values, weights, p0, max_iter, tol):
     w = weights / weights.sum()
     L = 1.05 * 2.0 * D * w.max()
     w2 = 2.0 * w  # the gradient is 2 H' diag(w) (H p - v)
-    p = p_prev = p0.copy()
+    hess_w = np.zeros(D)  # the Hessian is H diag(2w) H, weight 0 off idx
+    hess_w[idx] = w2
     r = np.zeros(D)  # rows outside idx stay 0
+    tried = set()
+
+    def gradient(q):
+        r[idx] = w2 * (fwht(q)[idx] - values)
+        return fwht(r)
+
+    def kkt_residual(q, d):
+        return np.abs(np.subtract(q, d, out=d), out=d).max()
+
+    p = p_prev = p0.copy()
     g_prev = 0.0
     t = 1.0
     kkt = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        r[idx] = w2 * (fwht(p)[idx] - values)
-        g = fwht(r)
+        g = gradient(p)
         d = simplex_project(p - g)
-        kkt = np.abs(np.subtract(p, d, out=d), out=d).max()
+        face = d > 0.0
+        kkt = kkt_residual(p, d)
         if kkt <= tol:
             break
+        # the face step (a NaN iterate has an empty face, which is skipped)
+        if np.array_equal(face, p > 0.0) and face.any() and (key := face.tobytes()) not in tried:
+            tried.add(key)
+            q = _face_solve(p, g, face, hess_w, tol)
+            if q.min() >= 0.0:
+                kkt_q = kkt_residual(q, simplex_project(q - gradient(q)))
+                if kkt_q <= tol:
+                    return q, kkt_q, it
         t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t) ** 0.5)
         beta = (t - 1.0) / t_next
         y = p + beta * (p - p_prev)

@@ -21,6 +21,7 @@ row by row, which names its first bad row.
 from __future__ import annotations
 
 import json
+import logging
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -32,6 +33,8 @@ import numpy as np
 from . import kernels
 from .operators import shannon_entropy
 from .pauli import INT64_INDEX_QUBITS, Graph, LocalFrame, StabilizerCodec, index_column
+
+_log = logging.getLogger("stabverify")  # no handler here: the application configures it
 
 
 class RecordFormatError(ValueError):
@@ -331,7 +334,11 @@ def ml_fit(record: MeasurementRecord, start: np.ndarray | None = None) -> GraphD
     Minimizes sum_k w_k (<S_k>_p - value_k)^2 with w_k = 1/sigma_k^2 over
     physical populations p, by accelerated projected gradient (``kernels.pg_fit``:
     FISTA with adaptive restart, step 1/L from the gradient's exact Lipschitz
-    constant L), to a KKT residual of at most ``ML_TOL``.  The identity entry
+    constant L), to a KKT residual of at most ``ML_TOL``.  Once FISTA has
+    found the support of the optimum, a conjugate-gradient solve on that face
+    usually ends the fit; its result is kept only if it passes the same KKT
+    test.  The iteration count and the final residual are logged at DEBUG
+    level on the ``stabverify`` logger.  The identity entry
     is exact for any p and is skipped.  The default start is the simplex
     projection of the raw populations fwht(m) / 2^n, with m_0 = 1 and every
     unmeasured m_k taken as 0.  For the full group with equal weights that
@@ -353,7 +360,8 @@ def ml_fit(record: MeasurementRecord, start: np.ndarray | None = None) -> GraphD
         p0 = kernels.simplex_project(kernels.fwht(m) / dim)
     else:
         p0 = np.asarray(start, dtype=np.float64)
-    p, kkt, _ = kernels.pg_fit(rows, values, weights, p0, ML_MAX_ITER, ML_TOL)
+    p, kkt, iterations = kernels.pg_fit(rows, values, weights, p0, ML_MAX_ITER, ML_TOL)
+    _log.debug("ml_fit: %d iterations, KKT residual %.3g", iterations, kkt)
     if not kkt <= ML_TOL:  # also a NaN residual
         raise RuntimeError(f"fit did not reach the target residual ({kkt:.2e})")
     return GraphDiagonalState(p)

@@ -38,7 +38,8 @@ the start is dual feasible.  Step control: fraction-to-boundary
 ``STEP_FRAC``, at most 200 steps by default, relative complementarity-gap
 and dual-residual target ``GAP_TOL``.
 Every iterate, the start and the one after the last step included, is
-tested for convergence and kept if it is the best so far.
+tested for convergence and kept if it is the best so far by |gap| plus dual
+residual (a dual that has left the cone can show a huge negative gap).
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def solve_conic(c: np.ndarray, block, x0: np.ndarray, max_iter: int = 200) -> Ip
         Z = (c @ a) / (a @ a) * Z
     nu = S.shape[0] * S.shape[1] if psd else S.size  # barrier parameter
     rd_tol = GAP_TOL * (1.0 + np.linalg.norm(c, np.inf))
-    best = None  # (gap + dual residual, then the IpmResult fields of the best iterate)
+    best = None  # (|gap| + dual residual, then the IpmResult fields of the best iterate)
 
     def fail(message):
         return SdpConvergenceError(message, IpmResult(*best[1:], converged=False))
@@ -134,8 +135,8 @@ def solve_conic(c: np.ndarray, block, x0: np.ndarray, max_iter: int = 200) -> Ip
         rd = c - block.adjoint(Z)
         obj = float(c @ x)
         rd_norm = float(np.linalg.norm(rd, np.inf))
-        if best is None or gap + rd_norm < best[0]:
-            best = (gap + rd_norm, x, Z, gap, rd_norm, obj, it)
+        if best is None or abs(gap) + rd_norm < best[0]:
+            best = (abs(gap) + rd_norm, x, Z, gap, rd_norm, obj, it)
         if gap <= GAP_TOL * (1.0 + abs(obj)) and rd_norm <= rd_tol:
             return IpmResult(x, Z, gap, rd_norm, obj, it, converged=True)
         if it == max_iter:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stabverify import bounds
@@ -368,13 +368,22 @@ class TestBoundReport:
         assert [c.shape for c in chunks] == [(10_000, 16)]
 
 
+@st.composite
+def stacks_and_cut_sizes(draw):
+    n = draw(st.integers(1, 16))
+    rows = draw(st.integers(1, 64))
+    b_size = draw(st.integers(1, n))
+    return draw(arrays(np.float64, (rows, n), elements=st.floats(-1.0, 1.0))), b_size
+
+
+# a row whose (1 - f) ** 2 once came out 1 ulp apart as a numpy scalar and in
+# an array, so purity_min of the row and of its (1, n) stack differed
 @PROPERTY_SETTINGS
-@given(data=st.data())
-def test_stacked_bounds_match_rows(data):
-    n = data.draw(st.integers(1, 16))
-    rows = data.draw(st.integers(1, 64))
-    b_size = data.draw(st.integers(1, n))
-    x = data.draw(arrays(np.float64, (rows, n), elements=st.floats(-1.0, 1.0)))
+@example(case=(np.array([[0.817696821119055, -0.9506417685349213,
+                          0.3805086119723662, -0.5690907574389357]]), 2))
+@given(case=stacks_and_cut_sizes())
+def test_stacked_bounds_match_rows(case):
+    x, b_size = case
     for fn in (
         fidelity_min,
         purity_min,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabverify.kernels import fwht, pg_fit, simplex_project
 
@@ -154,23 +154,59 @@ class TestPgFit:
         assert kkt <= 1e-10
         assert np.max(np.abs(p - p_true)) < 1e-6
 
+    @pytest.mark.parametrize("n,seed", [(4, 8), (5, 1)])
+    def test_consistent_data_on_a_face(self, n, seed):
+        # exact data of a state with 3/4 of its populations 0: the gradient
+        # vanishes at the optimum, and on these two the face solve ends with
+        # populations of about -3e-18, within the KKT tolerance of 0 but not
+        # physical, so the candidate must be refused and FISTA go on
+        rng = np.random.default_rng(seed)
+        D = 1 << n
+        p_true = np.zeros(D)
+        support = rng.choice(D, D // 4, replace=False)
+        p_true[support] = rng.dirichlet(np.ones(support.size))
+        idx = np.arange(1, D, dtype=np.int64)
+        p, kkt, _ = pg_fit(idx, fwht(p_true)[idx], np.full(D - 1, 1e4), np.full(D, 1.0 / D),
+                           200_000, 1e-10)
+        assert kkt <= 1e-10 and (p >= 0).all()
+        assert np.max(np.abs(p - p_true)) < 1e-9
+
     @staticmethod
-    def noisy_full_group(rng, n, sigma_hi):
+    def noisy_full_group(rng, n, sigma_hi, log_uniform=False, mix=1.0):
         """Every non-identity row measured with a positive weight, so the
-        objective is strongly convex on the simplex and its minimizer unique."""
+        objective is strongly convex on the simplex and its minimizer unique.
+        sigma is uniform, or log-uniform, on [0.01, sigma_hi].  The state is a
+        random one mixed with weight 1 - mix into a random graph-basis state,
+        so a small mix gives a near-pure state."""
         D = 1 << n
         idx = np.arange(1, D, dtype=np.int64)
-        sigma = rng.uniform(0.01, sigma_hi, D - 1)
+        if log_uniform:
+            sigma = 0.01 * (sigma_hi / 0.01) ** rng.uniform(0.0, 1.0, D - 1)
+        else:
+            sigma = rng.uniform(0.01, sigma_hi, D - 1)
         noise = sigma * rng.standard_normal(D - 1)
-        vals = np.clip(fwht(rng.dirichlet(np.ones(D)))[idx] + noise, -1.0, 1.0)
+        p = mix * rng.dirichlet(np.ones(D))
+        p[rng.integers(D)] += 1.0 - mix
+        vals = np.clip(fwht(p)[idx] + noise, -1.0, 1.0)
         return idx, vals, 1.0 / sigma ** 2, np.full(D, 1.0 / D)
 
+    # The plain fixed step takes about L / mu steps on the optimal face, which
+    # a wide sigma spread makes large on a large face: the spread goes up to
+    # 1e3 on near-pure states of 5 or more qubits and up to
+    # 10 / sqrt(max(mix, 0.01)) otherwise, where 2400 draws at the largest
+    # spreads needed at most 68 000 of the oracle's 10^6 steps.  Small faces
+    # are where the face step fires; wide spreads are where its candidate is
+    # refused.
     @settings(max_examples=50, deadline=None)
-    @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_fixed_step_oracle(self, n, seed):
-        problem = self.noisy_full_group(np.random.default_rng(seed), n, 0.03)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           mix=st.sampled_from([1.0, 0.1, 1e-2, 1e-3, 0.0]), log_spread=st.floats(0.0, 1.0))
+    @example(n=2, seed=0, mix=0.1, log_spread=1.0)  # two candidates >= 0 that fail the KKT test
+    def test_matches_fixed_step_oracle(self, n, seed, mix, log_spread):
+        top = 1e3 if mix <= 1e-2 and n >= 5 else 10.0 / max(mix, 1e-2) ** 0.5
+        problem = self.noisy_full_group(np.random.default_rng(seed), n, 0.01 * top ** log_spread,
+                                        log_uniform=True, mix=mix)
         p, kkt, _ = pg_fit(*problem, 100_000, 1e-10)
-        q, kkt_q, _ = fixed_step_pg(*problem, 100_000, 1e-10)
+        q, kkt_q, _ = fixed_step_pg(*problem, 1_000_000, 1e-10)
         assert kkt <= 1e-10 and kkt_q <= 1e-10
         assert (p >= 0).all() and abs(p.sum() - 1.0) < 1e-12
         assert np.max(np.abs(p - q)) <= 1e-7

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from stabverify import (
 )
 from stabverify import kernels
 from stabverify.reconstruct import (
+    ML_TOL,
     fit_objective,
     record_from_json_dict,
     record_to_json_dict,
@@ -289,6 +291,32 @@ class TestMlFit:
         monkeypatch.setattr(kernels, "pg_fit", lambda *a: (np.full(4, np.nan), np.nan, 1))
         with pytest.raises(RuntimeError, match="did not reach"):
             ml_fit(rec)
+
+    def test_logs_iterations_and_residual(self, caplog):
+        g = Graph.path(3)
+        rec = sample_record(apply_noise(g, NoiseModel.uniform(3, 0.05)), g, shots=1000, seed=4)
+        with caplog.at_level(logging.DEBUG, logger="stabverify"):
+            ml_fit(rec)
+        [record] = [r for r in caplog.records if r.name == "stabverify"]
+        assert record.levelno == logging.DEBUG
+        iterations, kkt = record.args
+        assert iterations >= 1 and 0.0 <= kkt <= ML_TOL
+        assert record.getMessage() == f"ml_fit: {iterations} iterations, KKT residual {kkt:.3g}"
+        assert logging.getLogger("stabverify").handlers == []
+
+    def test_face_step_ends_a_10_qubit_fit_early(self, monkeypatch):
+        # a full-group record like the benchmark's: FISTA alone stops after
+        # 33 iterations, the conjugate-gradient solve on its face after 13
+        g = Graph.path(10)
+        rng = np.random.default_rng(1)
+        noise = NoiseModel(tuple(rng.uniform(0.01, 0.05, 10)), float(rng.uniform(0.01, 0.03)))
+        rec = sample_record(apply_noise(g, noise), g, shots=2000, seed=1)
+        fits = []
+        pg_fit = kernels.pg_fit
+        monkeypatch.setattr(kernels, "pg_fit", lambda *a: fits.append(pg_fit(*a)) or fits[-1])
+        ml_fit(rec)
+        [(p, kkt, iterations)] = fits
+        assert kkt <= ML_TOL and iterations <= 20
 
     def test_shots_derive_sigma(self):
         rec = MeasurementRecord(

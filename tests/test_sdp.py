@@ -122,14 +122,17 @@ class TestSolverCore:
         assert abs(res.objective - 1.0) < 1e-6
 
     @staticmethod
-    def positive_part(A, basis):
+    def positive_part_program(A, basis):
         # min tr(s) s.t. s >= 0, s >= A: one 2-stack, optimum the positive part of A
         d = len(A)
         F = np.stack([np.stack((b, b)) for b in basis])
         c = np.array([np.trace(b).real for b in basis])
         x0 = np.zeros(len(basis))
         x0[:d] = float(np.abs(np.linalg.eigvalsh(A)).max()) + 1.0  # s = x0 I
-        return solve_conic(c, SdpBlock(np.stack((np.zeros_like(A), -A)), F), x0)
+        return c, SdpBlock(np.stack((np.zeros_like(A), -A)), F), x0
+
+    def positive_part(self, A, basis):
+        return solve_conic(*self.positive_part_program(A, basis))
 
     def test_positive_part_sdp(self):
         rng = np.random.default_rng(0)
@@ -208,8 +211,6 @@ def conic_program(kind):
     """(c, block, x0) as the dense path (a real or a complex PptBlock) or the
     reduced path (a CutBlock) hands them to solve_conic, for a noisy 3-qubit
     path state."""
-    import stabverify.sdp as sdp
-
     graph = Graph.path(3)
     p = apply_noise(graph, NoiseModel((0.05, 0.03, 0.07), 0.02)).p
     rho = graph_diagonal_operator(p, graph)
@@ -217,18 +218,19 @@ def conic_program(kind):
         bits = np.arange(8)
         phases = np.exp(0.7j * ((bits >> 2) & 1) + 1.9j * (bits & 1))
         rho = phases[:, None] * rho * phases.conj()[None, :]
+    if kind == "cut":
+        return first_posed(lambda: symmetry_reduced_robustness(p, graph))
+    return first_posed(lambda: ppt_robustness(rho))
+
+
+def first_posed(run):
+    """(c, block, x0) of the first program that run() hands to solve_conic."""
+    import stabverify.sdp as sdp
+
     posed = []
-
-    def recording(c, block, x0):
-        posed.append((c, block, x0))
-        return solve_conic(c, block, x0)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdp, "solve_conic", recording)
-        if kind == "cut":
-            symmetry_reduced_robustness(p, graph)
-        else:
-            ppt_robustness(rho)
+        mp.setattr(sdp, "solve_conic", lambda *args: posed.append(args) or solve_conic(*args))
+        run()
     return posed[0]
 
 
@@ -266,22 +268,41 @@ class KeepsIterates:
     so that a test can tell whether the solver later changed one in place."""
 
     def __init__(self, block):
-        self.block, self.seen = block, []
+        self.block, self.seen = block, []  # (method, array, copy)
+
+    def keep(self, method, a):
+        self.seen.append((method, a, a.copy()))
 
     def slack(self, x):
-        self.seen.append((x, x.copy()))
+        self.keep("slack", x)
         return self.block.slack(x)
 
     def adjoint(self, Z):
-        self.seen.append((Z, Z.copy()))
+        self.keep("adjoint", Z)
         return self.block.adjoint(Z)
 
     def apply(self, dx):
         return self.block.apply(dx)
 
     def factor(self, W):
-        self.seen.append((W, W.copy()))
+        self.keep("factor", W)
         return self.block.factor(W)
+
+    def iterates(self):
+        """(x, Z) of every iterate the solver tested.  Each x goes to slack
+        once; the first adjoint after it is its Z's dual residual, except at
+        the start, whose first adjoint is the unscaled unit dual."""
+        out, x, skip = [], None, 1
+        for method, a, _ in self.seen:
+            if method == "slack":
+                x = a
+            elif method == "adjoint" and x is not None:
+                if skip:
+                    skip -= 1
+                else:
+                    out.append((x, a))
+                    x = None
+        return out
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "cut"])
@@ -299,7 +320,33 @@ def test_kept_iterates_are_never_overwritten(kind):
     for res in (ei.value.result, converged):
         assert c @ res.x == res.objective
         assert np.vdot(block.slack(res.x), res.dual).real == res.gap
-    assert all(np.array_equal(a, kept) for a, kept in keeper.seen)
+    assert all(np.array_equal(a, kept) for _, a, kept in keeper.seen)
+
+
+@pytest.mark.parametrize("program", ["cluster2", "positive-part"])
+def test_best_iterate_minimizes_abs_gap_plus_residual(monkeypatch, program):
+    # steps twice as long as the cone allows take the dual out of the cone,
+    # where the gap reads about -3e273: the reported best iterate must be the
+    # one nearest optimality by |gap| + dual residual, not by gap + residual
+    import stabverify.solver as solver
+
+    if program == "cluster2":  # robustness --method dense of the pure 2-qubit cluster
+        rho = graph_diagonal_operator(np.array([1.0, 0.0, 0.0, 0.0]), Graph.path(2))
+        c, block, x0 = first_posed(lambda: ppt_robustness(rho))
+    else:
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        c, block, x0 = TestSolverCore.positive_part_program((A + A.conj().T) / 2, hermitian_basis(4))
+    monkeypatch.setattr(solver, "STEP_FRAC", 2.0)
+    keeper = KeepsIterates(block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SdpConvergenceError) as ei:
+            solve_conic(c, keeper, x0)
+        scores = [abs(np.vdot(block.slack(x), Z).real) + np.linalg.norm(c - block.adjoint(Z), np.inf)
+                  for x, Z in keeper.iterates()]
+    best = ei.value.result
+    assert len(scores) > best.iterations and max(scores) > 1e270
+    assert abs(best.gap) + best.dual_residual == min(scores)
 
 
 class DiagonalBlock:

@@ -9,12 +9,14 @@ by ``pipebench/workloads.py`` of this checkout into a temporary directory, and
 each operation runs through ``stabverify.cli.main`` in-process, with BLAS on
 one thread.  One line per operation:
 
-    workload seed label exit_code sha256(stdout) sha256(stderr) [iterations value duality_gap]
+    workload seed label exit_code sha256(stdout) sha256(stderr) [fields]
 
 with the input directory replaced by ``<inputs>`` before hashing.  A
 ``robustness`` operation adds the ``iterations``, ``value`` and
-``duality_gap`` of its report's sdp section (``-`` for a field it lacks),
-so a change that moves the solver's iterates shows by how much.  Two
+``duality_gap`` of its report's sdp section, and an ``analyze`` operation
+with an ml section (a full-group record) adds its ``fidelity``, ``purity``
+and ``entropy`` (repr, ``-`` for a field it lacks), so a change that moves
+the solver's iterates or the ML fit shows by how much.  Two
 versions of the program give the same bytes on every operation exactly when
 ``diff`` of their outputs is empty, e.g. with a ``git archive`` of the parent
 unpacked next to the change:
@@ -46,15 +48,21 @@ def _digest(text: str, inputs: str) -> str:
     return hashlib.sha256(text.replace(inputs, "<inputs>").encode()).hexdigest()
 
 
-def _solve_fields(argv, stdout: str) -> list:
-    """iterations, value and duality_gap of a robustness report, as text."""
-    if argv[0] != "robustness":
-        return []
+def _report_fields(argv, stdout: str) -> list:
+    """The report values printed after the digests, as text: iterations,
+    value and duality_gap of a robustness op; the ml fidelity, purity and
+    entropy of an analyze op whose report has an ml section."""
     try:
-        sdp = json.loads(stdout)["sdp"]
-    except (ValueError, KeyError):
-        sdp = {}
-    fields = (sdp.get("iterations"), sdp.get("value", {}).get("value"), sdp.get("duality_gap"))
+        report = json.loads(stdout)
+    except ValueError:
+        report = {}
+    if argv[0] == "robustness":
+        sdp = report.get("sdp", {})
+        fields = (sdp.get("iterations"), sdp.get("value", {}).get("value"), sdp.get("duality_gap"))
+    elif argv[0] == "analyze" and "ml" in report:
+        fields = [report["ml"].get(name, {}).get("value") for name in ("fidelity", "purity", "entropy")]
+    else:
+        return []
     return ["-" if v is None else repr(v) for v in fields]
 
 
@@ -87,7 +95,7 @@ def main(argv=None) -> int:
                         err.write(traceback.format_exc())
                     print(name, seed, op.label, code, _digest(out.getvalue(), inputs),
                           _digest(err.getvalue(), inputs),
-                          *_solve_fields(op.argv, out.getvalue()), flush=True)
+                          *_report_fields(op.argv, out.getvalue()), flush=True)
     return 0
 
 
